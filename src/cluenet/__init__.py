@@ -7,10 +7,7 @@ The package is organized bottom-up:
 * ``pfe``       coordinate-augmented patch embedding and positional residual
 * ``gfc``       the clustering block: aggregate, fuse, dispatch
 * ``icp``       inter-stage pooling in assignment space
-* ``net``       full model assembly, presets, checkpoint IO
-* ``train``     optimizer, schedule, training and evaluation loops
 * ``interpret`` receptive-field tracing and overlay rendering
-* ``cli``       command-line entry point
 """
 
 __version__ = "0.1.0"

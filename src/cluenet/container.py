@@ -43,7 +43,7 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(entries)))
         for name, arr in entries.items():
-            arr = np.ascontiguousarray(arr)
+            arr = np.asarray(arr)  # tobytes() below writes C order; 0-d stays 0-d
             code = _dtype_code(arr)
             name_b = name.encode("utf-8")
             if len(name_b) > 0xFFFF:
@@ -70,9 +70,13 @@ def read_container(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            name = data[off:off + name_len].decode("utf-8")
-            if len(data[off:off + name_len]) != name_len:
+            name_b = data[off:off + name_len]
+            if len(name_b) != name_len:
                 raise FormatError(f"{path}: truncated entry name")
+            try:
+                name = name_b.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: entry name is not UTF-8 ({exc})") from exc
             off += name_len
             code, rank = struct.unpack_from("<BB", data, off)
             off += 2

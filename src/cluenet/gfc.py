@@ -66,17 +66,16 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def init_centers(p_map: np.ndarray, h: int, w: int):
-    """Grid-pool a (..., H, W, c) map into m = h*w center rows.
+    """Grid-pool a (B, H, W, c) map into m = h*w center rows.
 
-    Returns ((..., m, c), backward); backward accepts the center gradient
+    Returns ((B, m, c), backward); backward accepts the center gradient
     and maps it back onto the input map.
     """
     hh, ww = p_map.shape[-3], p_map.shape[-2]
     if h > hh or w > ww:
         raise ConfigError(f"center grid ({h},{w}) larger than feature map ({hh},{ww})")
     pooled, back_pool = T.adaptive_avg_pool2d(p_map, h, w)
-    lead = pooled.shape[:-3]
-    centers = pooled.reshape(*lead, h * w, p_map.shape[-1])
+    centers = pooled.reshape(pooled.shape[0], h * w, p_map.shape[-1])
 
     def backward(d_centers: np.ndarray) -> np.ndarray:
         return back_pool(d_centers.reshape(pooled.shape))
@@ -84,15 +83,22 @@ def init_centers(p_map: np.ndarray, h: int, w: int):
     return centers, backward
 
 
-def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray, tau: float):
-    """Cosine attention of centers over pixels; convex value aggregation.
+def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray, tau: float,
+                   cosine: bool = True):
+    """Attention of centers over pixels; convex value aggregation.
 
-    S_C = softmax_pixels(cos(c_s, p_s) / tau); returns (S_C @ p_v, S_C,
-    backward). backward(d_out) -> (d_c_s, d_p_s, d_p_v, d_tau).
+    S_C = softmax_pixels(sim(c_s, p_s) / tau), where sim is the cosine
+    similarity, or the plain dot product when ``cosine`` is False (the
+    ablation, run at tau = sqrt(head width)). Returns (S_C @ p_v, S_C,
+    backward); backward(d_out) -> (d_c_s, d_p_s, d_p_v, d_tau).
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    sim, back_sim = T.cosine_sim(c_s, p_s)          # (..., m, n)
+    if cosine:
+        sim, back_sim = T.cosine_sim(c_s, p_s)      # (..., m, n)
+    else:
+        sim = c_s @ np.swapaxes(p_s, -1, -2)
+        back_sim = lambda d_sim: (d_sim @ p_s, np.swapaxes(d_sim, -1, -2) @ c_s)
     s_c, back_soft = T.softmax(sim / tau)
     out = s_c @ p_v                                  # (..., m, dh)
 
@@ -106,52 +112,6 @@ def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray, tau: float
         return d_cs, d_ps, d_pv, d_tau
 
     return out, s_c, backward
-
-
-def soft_aggregate_dot(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray, scale: float):
-    """Dot-product variant (cosine/temperature ablated); fixed logit scale."""
-    sim = c_s @ np.swapaxes(p_s, -1, -2)
-    s_c, back_soft = T.softmax(sim * scale)
-    out = s_c @ p_v
-
-    def backward(d_out: np.ndarray):
-        d_sc = d_out @ np.swapaxes(p_v, -1, -2)
-        d_pv = np.swapaxes(s_c, -1, -2) @ d_out
-        d_sim = back_soft(d_sc) * scale
-        d_cs = d_sim @ p_s
-        d_ps = np.swapaxes(d_sim, -1, -2) @ c_s
-        return d_cs, d_ps, d_pv
-
-    return out, s_c, backward
-
-
-def soft_aggregate_streaming(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
-                             tau: float, chunk: int = 512) -> np.ndarray:
-    """Forward-only soft_aggregate over pixel chunks with a running softmax.
-
-    Holds (m, chunk) scores instead of (m, n); the running maximum and
-    denominator are rescaled as new chunks arrive, so the result matches the
-    dense evaluation up to rounding. Row norms are per-row quantities and
-    unaffected by chunking.
-    """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    n = p_s.shape[-2]
-    lead_m = c_s.shape[:-1]          # (..., m)
-    run_max = np.full(lead_m + (1,), -np.inf, dtype=c_s.dtype)
-    denom = np.zeros(lead_m + (1,), dtype=c_s.dtype)
-    num = np.zeros(c_s.shape[:-1] + (p_v.shape[-1],), dtype=c_s.dtype)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        sim, _ = T.cosine_sim(c_s, p_s[..., sl, :])
-        logits = sim / tau
-        new_max = np.maximum(run_max, logits.max(axis=-1, keepdims=True))
-        correction = np.exp(run_max - new_max)
-        e = np.exp(logits - new_max)
-        denom = denom * correction + e.sum(axis=-1, keepdims=True)
-        num = num * correction + e @ p_v[..., sl, :]
-        run_max = new_max
-    return num / denom
 
 
 def gated_fuse(c_v: np.ndarray, c_agg: np.ndarray, gate: T.Mlp2Params):
@@ -270,8 +230,8 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
 class ClusterState:
     """What one block's clustering actually did (kept for tracing).
 
-    Arrays carry the batch dimension of the forward that produced them;
-    soft_sim is per head, (B, M, m, n), or None when aggregation is off.
+    Arrays are batched, except inside a single-image TraceBundle; soft_sim
+    is per head, (B, M, m, n), or None when aggregation is off.
     """
 
     centers_v: np.ndarray
@@ -375,7 +335,7 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
 
 
 def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None = None):
-    """Run one block on a (B, H, W, d) or (H, W, d) map.
+    """Run one block on a (B, H, W, d) map.
 
     Returns (y, ClusterState, backward). When the block owns its assignment,
     backward(dy, d_shared=None) -> dx, where d_shared is the accumulated
@@ -383,9 +343,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     When the block consumed a shared assignment, backward(dy) ->
     (dx, d_weights) and the caller routes d_weights to the owner.
     """
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    bsz, hh, ww, d = xb.shape
+    bsz, hh, ww, d = T.map_shape(x, "gfc block")
     if d != p.d:
         raise DimensionError(f"block expects width {p.d}, got {d}")
     n = hh * ww
@@ -394,7 +352,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     gh, gw = p.grid_hw
     m = gh * gw
 
-    xn, back_norm1 = T.layer_norm(xb, p.norm1_g, p.norm1_b)
+    xn, back_norm1 = T.layer_norm(x, p.norm1_g, p.norm1_b)
     ps_map, back_ws = T.linear(xn, p.w_s, p.b_s)     # (B,H,W,d')
     pv_map, back_wv = T.linear(xn, p.w_v, p.b_v)
     ps_h = split_heads(ps_map.reshape(bsz, n, dp), heads)   # (B,M,n,dh)
@@ -408,14 +366,14 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         if p.flags.tcos:
             tau_nat = float(np.exp(p.tau_raw.value))
             tau = max(tau_nat, TAU_MIN)
-            agg_h, s_c, back_agg = soft_aggregate(cs_h, ps_h, pv_h, tau)
         else:
-            agg_h, s_c, back_agg = soft_aggregate_dot(cs_h, ps_h, pv_h, 1.0 / math.sqrt(dh))
+            tau = math.sqrt(dh)
+        agg_h, s_c, back_agg = soft_aggregate(cs_h, ps_h, pv_h, tau, cosine=p.flags.tcos)
         agg = merge_heads(agg_h)
         if p.flags.gate:
             cvt, back_fuse = gated_fuse(cv0, agg, p.gate)
         else:
-            g_half = np.asarray(0.5, dtype=xb.dtype)
+            g_half = np.asarray(0.5, dtype=x.dtype)
             cvt = (1.0 - g_half) * agg + g_half * cv0
             back_fuse = lambda d_out: (d_out * g_half, d_out * (1.0 - g_half))
     else:
@@ -437,7 +395,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         assign = shared
 
     cvt_h = split_heads(cvt, heads)                  # (B,M,m,dh)
-    y1_flat, back_disp = dispatch(xb.reshape(bsz, n, d), assign, cvt_h, p.fc_out, p.b_out)
+    y1_flat, back_disp = dispatch(x.reshape(bsz, n, d), assign, cvt_h, p.fc_out, p.b_out)
     y1 = y1_flat.reshape(bsz, hh, ww, d)
 
     y1n, back_norm2 = T.layer_norm(y1, p.norm2_g, p.norm2_b)
@@ -454,14 +412,13 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
                          heads=heads, grid_hw=p.grid_hw)
 
     def backward(dy: np.ndarray, d_shared: np.ndarray | None = None):
-        dyb = dy[None] if squeeze else dy
-        d_h1p = back_act(back_f2(dyb))
+        d_h1p = back_act(back_f2(dy))
         d_h1 = back_posr(d_h1p) if p.flags.pos else d_h1p
-        d_y1 = dyb + back_norm2(back_f1(d_h1))
+        d_y1 = dy + back_norm2(back_f1(d_h1))
 
         d_p, d_weights, d_cvt_h = back_disp(d_y1.reshape(bsz, n, d))
         d_cvt = merge_heads(d_cvt_h)
-        dxb = d_p.reshape(bsz, hh, ww, d)
+        dx = d_p.reshape(bsz, hh, ww, d)
 
         d_ps_h = np.zeros_like(ps_h)
         d_pv_h = np.zeros_like(pv_h)
@@ -477,12 +434,9 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         if p.flags.fa:
             d_cv0, d_agg = back_fuse(d_cvt)
             d_agg_h = split_heads(d_agg, heads)
-            if p.flags.tcos:
-                d_cs_h, d_ps_a, d_pv_a, d_tau = back_agg(d_agg_h)
-                if tau_nat > TAU_MIN:  # inside the clamp the temperature is constant
-                    p.tau_raw.add_grad(np.asarray(d_tau * tau_nat, dtype=p.tau_raw.value.dtype))
-            else:
-                d_cs_h, d_ps_a, d_pv_a = back_agg(d_agg_h)
+            d_cs_h, d_ps_a, d_pv_a, d_tau = back_agg(d_agg_h)
+            if p.flags.tcos and tau_nat > TAU_MIN:  # inside the clamp the temperature is constant
+                p.tau_raw.add_grad(np.asarray(d_tau * tau_nat, dtype=p.tau_raw.value.dtype))
             d_ps_h += d_ps_a
             d_pv_h += d_pv_a
             d_ps_map = merge_heads(d_ps_h).reshape(ps_map.shape) + back_pool_s(merge_heads(d_cs_h))
@@ -492,13 +446,12 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
 
         d_pv_map = merge_heads(d_pv_h).reshape(pv_map.shape) + back_pool_v(d_cv0)
         d_xn = back_ws(d_ps_map) + back_wv(d_pv_map)
-        dxb = dxb + back_norm1(d_xn)
-        dx = dxb[0] if squeeze else dxb
+        dx = dx + back_norm1(d_xn)
         if p.owns_assignment:
             return dx
         return dx, d_weights
 
-    return (y[0] if squeeze else y), state, backward
+    return y, state, backward
 
 
 # ---------------------------------------------------------------------------

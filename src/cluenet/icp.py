@@ -5,11 +5,6 @@ the target resolution, and every pixel joins its most cosine-similar seed.
 The pooled output is the per-cluster mean of the member *similarity*
 vectors pushed through a small perceptron, so the similarity projection
 sits on the differentiable path and learns.
-
-``fec_pool_oracle`` reproduces the broken wiring this design fixes: the
-same partition, but the pooled means are taken over the raw (normalized)
-features, so the similarity projection only ever picks indices and its
-gradient is identically zero.
 """
 
 from __future__ import annotations
@@ -138,17 +133,6 @@ def _pool_means(vectors: np.ndarray, owner: np.ndarray, seeds: np.ndarray):
     return pooled, counts, backward
 
 
-def _prepare(x: np.ndarray, p: IcpParams):
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    bsz, hh, ww, d = xb.shape
-    if d != p.d_in:
-        raise DimensionError(f"pool expects width {p.d_in}, got {d}")
-    if hh % 2 or ww % 2:
-        raise ConfigError(f"pool requires even extents, got ({hh},{ww})")
-    return squeeze, xb, bsz, hh, ww
-
-
 def icp_forward(x: np.ndarray, p: IcpParams):
     """Pool (B, H, W, d_in) to (B, H/2, W/2, d_out).
 
@@ -156,12 +140,16 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     partition is constant in backward; gradients flow through the cluster
     means and both projections.
     """
-    squeeze, xb, bsz, hh, ww = _prepare(x, p)
+    bsz, hh, ww, d = T.map_shape(x, "pool")
+    if d != p.d_in:
+        raise DimensionError(f"pool expects width {p.d_in}, got {d}")
+    if hh % 2 or ww % 2:
+        raise ConfigError(f"pool requires even extents, got ({hh},{ww})")
     h2, w2 = hh // 2, ww // 2
     m = h2 * w2
     n = hh * ww
 
-    xn, back_norm = T.layer_norm(xb, p.norm_g, p.norm_b)
+    xn, back_norm = T.layer_norm(x, p.norm_g, p.norm_b)
     s_map, back_projf = T.linear(xn, p.proj_f)               # (B,H,W,d_s)
     seeds_map, back_seed_pool = T.adaptive_avg_pool2d(s_map, h2, w2)
     seeds = seeds_map.reshape(bsz, m, p.d_in)
@@ -170,53 +158,15 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     pooled, _, back_means = _pool_means(s_flat, owner, seeds)
     out_flat, back_projv = _proj_v_forward(pooled, p.proj_v)
     out = out_flat.reshape(bsz, h2, w2, p.d_out)
-    assign = PoolAssignment(owner=owner[0] if squeeze else owner, m=m, grid_hw=(h2, w2))
+    assign = PoolAssignment(owner=owner, m=m, grid_hw=(h2, w2))
 
     def backward(d_out: np.ndarray) -> np.ndarray:
-        d_out_b = d_out[None] if squeeze else d_out
-        d_pooled = back_projv(d_out_b.reshape(bsz, m, p.d_out))
+        d_pooled = back_projv(d_out.reshape(bsz, m, p.d_out))
         d_s_flat, d_seeds = back_means(d_pooled)
         d_s_map = d_s_flat.reshape(s_map.shape) + back_seed_pool(d_seeds.reshape(seeds_map.shape))
-        dx = back_norm(back_projf(d_s_map))
-        return dx[0] if squeeze else dx
+        return back_norm(back_projf(d_s_map))
 
-    return (out[0] if squeeze else out), assign, backward
-
-
-def fec_pool_oracle(x: np.ndarray, p: IcpParams):
-    """The pathological wiring: partition from proj_f, content from elsewhere.
-
-    Identical partition to icp_forward, but pooled means are taken over the
-    normalized input features (and empty clusters over feature-space seeds),
-    so proj_f contributes only argmax indices and receives zero gradient.
-    """
-    squeeze, xb, bsz, hh, ww = _prepare(x, p)
-    h2, w2 = hh // 2, ww // 2
-    m = h2 * w2
-    n = hh * ww
-
-    xn, back_norm = T.layer_norm(xb, p.norm_g, p.norm_b)
-    s_map, _ = T.linear(xn, p.proj_f)                        # index path only
-    seeds_map, _ = T.adaptive_avg_pool2d(s_map, h2, w2)
-    owner = _partition(s_map.reshape(bsz, n, p.d_in), seeds_map.reshape(bsz, m, p.d_in))
-
-    raw_seeds_map, back_raw_pool = T.adaptive_avg_pool2d(xn, h2, w2)
-    raw_seeds = raw_seeds_map.reshape(bsz, m, p.d_in)
-    x_flat = xn.reshape(bsz, n, p.d_in)
-    pooled, _, back_means = _pool_means(x_flat, owner, raw_seeds)
-    out_flat, back_projv = _proj_v_forward(pooled, p.proj_v)
-    out = out_flat.reshape(bsz, h2, w2, p.d_out)
-    assign = PoolAssignment(owner=owner[0] if squeeze else owner, m=m, grid_hw=(h2, w2))
-
-    def backward(d_out: np.ndarray) -> np.ndarray:
-        d_out_b = d_out[None] if squeeze else d_out
-        d_pooled = back_projv(d_out_b.reshape(bsz, m, p.d_out))
-        d_x_flat, d_raw_seeds = back_means(d_pooled)
-        d_xn = d_x_flat.reshape(xn.shape) + back_raw_pool(d_raw_seeds.reshape(raw_seeds_map.shape))
-        dx = back_norm(d_xn)
-        return dx[0] if squeeze else dx
-
-    return (out[0] if squeeze else out), assign, backward
+    return out, assign, backward
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +204,16 @@ def make_linear_transition(rng: np.random.Generator, d_in: int, d_out: int,
 
 
 def linear_transition_forward(x: np.ndarray, p: LinearTransitionParams):
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    bsz, hh, ww, d = xb.shape
+    bsz, hh, ww, d = T.map_shape(x, "transition")
     if d != p.d_in:
         raise DimensionError(f"transition expects width {p.d_in}, got {d}")
-    xn, back_norm = T.layer_norm(xb, p.norm_g, p.norm_b)
+    xn, back_norm = T.layer_norm(x, p.norm_g, p.norm_b)
     out, back_lin = T.linear(xn, p.w, p.b)
     n = hh * ww
     owner = np.tile(np.arange(n, dtype=np.int32), (bsz, 1))
-    assign = PoolAssignment(owner=owner[0] if squeeze else owner, m=n, grid_hw=(hh, ww))
+    assign = PoolAssignment(owner=owner, m=n, grid_hw=(hh, ww))
 
     def backward(d_out: np.ndarray) -> np.ndarray:
-        d_out_b = d_out[None] if squeeze else d_out
-        dx = back_norm(back_lin(d_out_b))
-        return dx[0] if squeeze else dx
+        return back_norm(back_lin(d_out))
 
-    return (out[0] if squeeze else out), assign, backward
+    return out, assign, backward

@@ -203,7 +203,10 @@ def read_ppm(path) -> np.ndarray:
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P6" or parts[2] != b"255":
         raise FormatError(f"{path}: not a P6/255 PPM")
-    w, h = (int(v) for v in parts[1].split())
+    try:
+        w, h = (int(v) for v in parts[1].split())
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad PPM size line {parts[1]!r}") from exc
     pixels = np.frombuffer(parts[3], dtype=np.uint8)
     if pixels.size != h * w * 3:
         raise FormatError(f"{path}: payload size {pixels.size} != {h * w * 3}")
@@ -316,6 +319,6 @@ def read_trace(path) -> TraceBundle:
         tag = f"stage{k + 1}/pool"
         owner = need(f"{tag}/owner")
         grid = tuple(int(v) for v in need(f"{tag}/grid_hw"))
-        pools.append(PoolAssignment(owner=owner, m=int(owner.max()) + 1, grid_hw=grid))
+        pools.append(PoolAssignment(owner=owner, m=grid[0] * grid[1], grid_hw=grid))
     return TraceBundle(image_hw=image_hw, patch=patch, stage_hw=stage_hw,
                        states=states, pools=pools)

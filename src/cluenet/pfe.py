@@ -51,15 +51,13 @@ class PatchEmbedParams:
 
 def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
                 bias: T.Parameter):
-    """Embed (..., H, W, 3) + grid into (..., H/4, W/4, d).
+    """Embed (B, H, W, 3) + grid into (B, H/4, W/4, d).
 
     The grid is a fixed input: it receives no gradient. ``weight`` rows are
     laid out (patch_row, patch_col, channel) in C order, so flattening the
     window and the kernel the same way reduces the convolution to one matmul.
     """
-    squeeze = img.ndim == 3
-    x = img[None] if squeeze else img
-    b, h, w, c = x.shape
+    b, h, w, c = T.map_shape(img, "patch_embed")
     if c != IMG_CHANNELS:
         raise DimensionError(f"patch_embed: expected {IMG_CHANNELS} image channels, got {c}")
     if h % PATCH or w % PATCH:
@@ -70,8 +68,8 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
     if weight.value.shape != (d, PATCH, PATCH, IMG_CHANNELS + GRID_CHANNELS):
         raise DimensionError(f"patch_embed: weight shape {weight.value.shape} invalid")
 
-    g = np.broadcast_to(grid.astype(x.dtype, copy=False), (b, h, w, GRID_CHANNELS))
-    xc = np.concatenate([x, g], axis=-1)
+    g = np.broadcast_to(grid.astype(img.dtype, copy=False), (b, h, w, GRID_CHANNELS))
+    xc = np.concatenate([img, g], axis=-1)
     hp, wp = h // PATCH, w // PATCH
     windows = xc.reshape(b, hp, PATCH, wp, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
     flat = np.ascontiguousarray(windows).reshape(b, hp, wp, PATCH * PATCH * 5)
@@ -79,17 +77,15 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
     y = flat @ wmat.T + bias.value
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dyb = dy[None] if squeeze else dy
-        dy2 = dyb.reshape(-1, d)
+        dy2 = dy.reshape(-1, d)
         bias.add_grad(dy2.sum(axis=0))
         weight.add_grad((dy2.T @ flat.reshape(-1, flat.shape[-1])).reshape(weight.value.shape))
-        dflat = dyb @ wmat
+        dflat = dy @ wmat
         dwin = dflat.reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
         dxc = np.ascontiguousarray(dwin).reshape(b, h, w, 5)
-        dimg = dxc[..., :IMG_CHANNELS]
-        return dimg[0] if squeeze else dimg
+        return dxc[..., :IMG_CHANNELS]
 
-    return (y[0] if squeeze else y), backward
+    return y, backward
 
 
 def pos_residual(x: np.ndarray, dw: T.Parameter):

@@ -20,8 +20,12 @@ from .errors import DimensionError, ConfigError
 F32 = np.float32
 F64 = np.float64
 
-#: dtype codes used by the checkpoint/trace container (see container.py).
-DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i4"), 3: np.dtype("u1")}
+
+def map_shape(x: np.ndarray, where: str) -> tuple[int, int, int, int]:
+    """(B, H, W, C) of a feature map; every map-taking op requires the batch axis."""
+    if x.ndim != 4:
+        raise DimensionError(f"{where}: expected a (B, H, W, C) map, got shape {x.shape}")
+    return x.shape
 
 
 def assert_finite(x: np.ndarray, where: str) -> None:
@@ -180,40 +184,36 @@ def softmax(x: np.ndarray):
 def dwconv2d(x: np.ndarray, kernel: Parameter):
     """Depth-wise 2D convolution, zero padding, output spatial size preserved.
 
-    ``x`` is (..., H, W, C) with an optional batch dimension in front;
-    ``kernel`` is (k, k, C) with odd k. Channels never mix.
+    ``x`` is (B, H, W, C); ``kernel`` is (k, k, C) with odd k. Channels
+    never mix.
     """
+    b, h, w_, c = map_shape(x, "dwconv2d")
     k = kernel.value.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"dwconv2d kernel size must be odd, got {k}")
     if kernel.value.shape[0] != kernel.value.shape[1]:
         raise ConfigError("dwconv2d kernel must be square")
-    if x.shape[-1] != kernel.value.shape[2]:
-        raise DimensionError(f"dwconv2d: channels {x.shape[-1]} != kernel channels {kernel.value.shape[2]}")
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    b, h, w_, c = xb.shape
+    if c != kernel.value.shape[2]:
+        raise DimensionError(f"dwconv2d: channels {c} != kernel channels {kernel.value.shape[2]}")
     pad = k // 2
     xp = np.zeros((b, h + 2 * pad, w_ + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w_, :] = xb
-    y = np.zeros_like(xb)
+    xp[:, pad:pad + h, pad:pad + w_, :] = x
+    y = np.zeros_like(x)
     for u in range(k):
         for v in range(k):
             y += xp[:, u:u + h, v:v + w_, :] * kernel.value[u, v]
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dyb = dy[None] if squeeze else dy
         dk = np.empty_like(kernel.value)
         dxp = np.zeros_like(xp)
         for u in range(k):
             for v in range(k):
-                dk[u, v] = (dyb * xp[:, u:u + h, v:v + w_, :]).sum(axis=(0, 1, 2))
-                dxp[:, u:u + h, v:v + w_, :] += dyb * kernel.value[u, v]
+                dk[u, v] = (dy * xp[:, u:u + h, v:v + w_, :]).sum(axis=(0, 1, 2))
+                dxp[:, u:u + h, v:v + w_, :] += dy * kernel.value[u, v]
         kernel.add_grad(dk)
-        dx = dxp[:, pad:pad + h, pad:pad + w_, :]
-        return dx[0] if squeeze else dx
+        return dxp[:, pad:pad + h, pad:pad + w_, :]
 
-    return (y[0] if squeeze else y), backward
+    return y, backward
 
 
 def _pool_windows(size_in: int, size_out: int):
@@ -222,10 +222,8 @@ def _pool_windows(size_in: int, size_out: int):
 
 
 def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
-    """Mean-pool (..., H, W, C) onto an h x w grid whose windows tile the input."""
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    b, hh, ww, c = xb.shape
+    """Mean-pool (B, H, W, C) onto an h x w grid whose windows tile the input."""
+    b, hh, ww, c = map_shape(x, "adaptive_avg_pool2d")
     if not (1 <= h <= hh and 1 <= w <= ww):
         raise DimensionError(f"adaptive_avg_pool2d: target ({h},{w}) exceeds source ({hh},{ww})")
     rows = _pool_windows(hh, h)
@@ -233,18 +231,17 @@ def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
     y = np.empty((b, h, w, c), dtype=x.dtype)
     for i, (r0, r1) in enumerate(rows):
         for j, (c0, c1) in enumerate(cols):
-            y[:, i, j] = xb[:, r0:r1, c0:c1].mean(axis=(1, 2))
+            y[:, i, j] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dyb = dy[None] if squeeze else dy
-        dx = np.zeros_like(xb)
+        dx = np.zeros_like(x)
         for i, (r0, r1) in enumerate(rows):
             for j, (c0, c1) in enumerate(cols):
                 area = (r1 - r0) * (c1 - c0)
-                dx[:, r0:r1, c0:c1] += dyb[:, i:i + 1, j:j + 1] / area
-        return dx[0] if squeeze else dx
+                dx[:, r0:r1, c0:c1] += dy[:, i:i + 1, j:j + 1] / area
+        return dx
 
-    return (y[0] if squeeze else y), backward
+    return y, backward
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray, eps: float = 1e-6):

@@ -26,11 +26,14 @@ def test_round_trip_mixed_dtypes(tmp_path):
 
 
 def test_round_trip_zero_dim_and_empty(tmp_path):
-    entries = {"empty": np.zeros((0, 3), dtype=np.float32)}
+    entries = {"empty": np.zeros((0, 3), dtype=np.float32),
+               "scalar": np.asarray(-1.5, dtype=np.float64)}
     path = tmp_path / "e.clue"
     C.write_container(path, entries)
     out = C.read_container(path)
     assert out["empty"].shape == (0, 3)
+    assert out["scalar"].shape == ()
+    assert out["scalar"] == -1.5
 
 
 def test_bad_magic(tmp_path):
@@ -76,6 +79,18 @@ def test_unknown_dtype_code(tmp_path):
     raw[off] = 250
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
+        C.read_container(path)
+
+
+def test_non_utf8_entry_name(tmp_path):
+    path = tmp_path / "t.clue"
+    C.write_container(path, {"x": np.ones(2, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    off = 4 + 4 + 4 + 2    # the one-byte name
+    assert raw[off] == ord("x")
+    raw[off] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="not UTF-8"):
         C.read_container(path)
 
 

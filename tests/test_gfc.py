@@ -35,27 +35,27 @@ def toy_block(rng, d=8, dp=8, heads=2, grid=(2, 2), flags=gfc.BlockFlags(),
 
 def test_centers_global_mean():
     x = np.random.default_rng(0).normal(size=(4, 4, 3))
-    c, _ = gfc.init_centers(x, 1, 1)
-    np.testing.assert_allclose(c, x.mean(axis=(0, 1))[None], rtol=1e-12)
+    c, _ = gfc.init_centers(x[None], 1, 1)
+    np.testing.assert_allclose(c[0], x.mean(axis=(0, 1))[None], rtol=1e-12)
 
 
 def test_centers_identity_pool():
     x = np.random.default_rng(1).normal(size=(3, 5, 2))
-    c, _ = gfc.init_centers(x, 3, 5)
-    np.testing.assert_array_equal(c, x.reshape(15, 2))
+    c, _ = gfc.init_centers(x[None], 3, 5)
+    np.testing.assert_array_equal(c[0], x.reshape(15, 2))
 
 
 def test_centers_quadrant_constants():
     vals = [1.0, -2.0, 3.0, 0.5]
     x = np.zeros((4, 4, 1))
     x[:2, :2], x[:2, 2:], x[2:, :2], x[2:, 2:] = vals
-    c, _ = gfc.init_centers(x, 2, 2)
-    np.testing.assert_array_equal(c[:, 0], vals)
+    c, _ = gfc.init_centers(x[None], 2, 2)
+    np.testing.assert_array_equal(c[0, :, 0], vals)
 
 
 def test_centers_grid_too_large():
     with pytest.raises(ConfigError):
-        gfc.init_centers(np.zeros((2, 2, 1)), 3, 3)
+        gfc.init_centers(np.zeros((1, 2, 2, 1)), 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,8 @@ def test_aggregate_dot_grad_matches_fd():
 
     def f(inputs):
         c, p, v = inputs
-        out, _, back = gfc.soft_aggregate_dot(c, p, v, scale=0.5)
-        d_c, d_p, d_v = back(w)
+        out, _, back = gfc.soft_aggregate(c, p, v, tau=2.0, cosine=False)
+        d_c, d_p, d_v, _ = back(w)
         return (out * w).sum(), [d_c, d_p, d_v]
 
     report = T.grad_check(f, [rng.normal(size=(2, 3)), rng.normal(size=(5, 3)),
@@ -141,7 +141,7 @@ def test_aggregate_dot_grad_matches_fd():
 
 
 def test_aggregate_unit_rows_match_dot_form():
-    # On unit-norm rows, cosine at tau=sqrt(dh) equals dot-product at 1/sqrt(dh).
+    # On unit-norm rows, cosine and dot-product attention agree at tau=sqrt(dh).
     rng = np.random.default_rng(6)
     dh = 4
     c = rng.normal(size=(3, dh))
@@ -150,34 +150,8 @@ def test_aggregate_unit_rows_match_dot_form():
     p /= np.linalg.norm(p, axis=-1, keepdims=True)
     v = rng.normal(size=(8, dh))
     out_cos, _, _ = gfc.soft_aggregate(c, p, v, tau=math.sqrt(dh))
-    out_dot, _, _ = gfc.soft_aggregate_dot(c, p, v, scale=1.0 / math.sqrt(dh))
+    out_dot, _, _ = gfc.soft_aggregate(c, p, v, tau=math.sqrt(dh), cosine=False)
     np.testing.assert_allclose(out_cos, out_dot, rtol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# streaming aggregation
-# ---------------------------------------------------------------------------
-
-def test_streaming_matches_dense():
-    rng = np.random.default_rng(7)
-    for n, chunk in [(17, 5), (64, 64), (100, 7), (256, 32)]:
-        c = rng.normal(size=(5, 6)).astype(np.float32)
-        p = rng.normal(size=(n, 6)).astype(np.float32)
-        v = rng.normal(size=(n, 6)).astype(np.float32)
-        tau = float(rng.uniform(0.1, 2.0))
-        dense, _, _ = gfc.soft_aggregate(c, p, v, tau)
-        stream = gfc.soft_aggregate_streaming(c, p, v, tau, chunk=chunk)
-        assert np.max(np.abs(dense - stream)) < 1e-5
-
-
-def test_streaming_large_n():
-    rng = np.random.default_rng(8)
-    c = rng.normal(size=(4, 8)).astype(np.float32)
-    p = rng.normal(size=(4096, 8)).astype(np.float32)
-    v = rng.normal(size=(4096, 8)).astype(np.float32)
-    dense, _, _ = gfc.soft_aggregate(c, p, v, 0.5)
-    stream = gfc.soft_aggregate_streaming(c, p, v, 0.5, chunk=300)
-    assert np.max(np.abs(dense - stream)) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,49 @@ def identity_params(d):
     return p
 
 
+def fec_pool_oracle(x, p):
+    """The pathological wiring icp_forward fixes: partition from proj_f,
+    content from elsewhere.
+
+    Identical partition to icp_forward, but pooled means are taken over the
+    normalized input features (and empty clusters over feature-space seeds),
+    so proj_f contributes only argmax indices and receives zero gradient.
+    """
+    bsz, hh, ww, d = x.shape
+    h2, w2 = hh // 2, ww // 2
+    m = h2 * w2
+    n = hh * ww
+
+    xn, back_norm = T.layer_norm(x, p.norm_g, p.norm_b)
+    s_map, _ = T.linear(xn, p.proj_f)                        # index path only
+    seeds_map, _ = T.adaptive_avg_pool2d(s_map, h2, w2)
+    owner = icp._partition(s_map.reshape(bsz, n, d), seeds_map.reshape(bsz, m, d))
+
+    raw_seeds_map, back_raw_pool = T.adaptive_avg_pool2d(xn, h2, w2)
+    pooled, _, back_means = icp._pool_means(xn.reshape(bsz, n, d), owner,
+                                            raw_seeds_map.reshape(bsz, m, d))
+    out_flat, back_projv = icp._proj_v_forward(pooled, p.proj_v)
+    out = out_flat.reshape(bsz, h2, w2, p.d_out)
+
+    def backward(d_out):
+        d_pooled = back_projv(d_out.reshape(bsz, m, p.d_out))
+        d_x_flat, d_raw_seeds = back_means(d_pooled)
+        d_xn = d_x_flat.reshape(xn.shape) + back_raw_pool(d_raw_seeds.reshape(raw_seeds_map.shape))
+        return back_norm(d_xn)
+
+    return out, icp.PoolAssignment(owner=owner, m=m, grid_hw=(h2, w2)), backward
+
+
 # ---------------------------------------------------------------------------
 # forward semantics
 # ---------------------------------------------------------------------------
 
 def test_identical_pixels_constant_output():
     p = toy_params(np.random.default_rng(1))
-    x = np.tile(np.array([1.0, -0.5, 2.0, 0.25]), (4, 4, 1))
+    x = np.tile(np.array([1.0, -0.5, 2.0, 0.25]), (1, 4, 4, 1))
     out, assign, _ = icp.icp_forward(x, p)
-    assert out.shape == (2, 2, 4)
-    np.testing.assert_allclose(out, np.broadcast_to(out[0, 0], out.shape), atol=1e-12)
+    assert out.shape == (1, 2, 2, 4)
+    np.testing.assert_allclose(out, np.broadcast_to(out[0, 0, 0], out.shape), atol=1e-12)
     assert assign.m == 4
 
 
@@ -48,11 +81,11 @@ def test_single_cluster_pools_global_mean():
     # which equals the mean of the normalized inputs.
     d = 3
     p = identity_params(d)
-    x = np.random.default_rng(2).normal(size=(2, 2, d))
+    x = np.random.default_rng(2).normal(size=(1, 2, 2, d))
     out, assign, _ = icp.icp_forward(x, p)
     xn, _ = T.layer_norm(x, p.norm_g, p.norm_b)
     np.testing.assert_allclose(out.reshape(d), xn.reshape(4, d).mean(axis=0), rtol=1e-10)
-    np.testing.assert_array_equal(assign.owner, np.zeros(4, dtype=np.int32))
+    np.testing.assert_array_equal(assign.owner[0], np.zeros(4, dtype=np.int32))
 
 
 def test_quadrant_codes_recover_quadrant_partition():
@@ -63,12 +96,12 @@ def test_quadrant_codes_recover_quadrant_partition():
     x = np.zeros((4, 4, d))
     x[:2, :2], x[:2, 2:], x[2:, :2], x[2:, 2:] = codes[0], codes[1], codes[2], codes[3]
     x += np.random.default_rng(3).normal(scale=0.01, size=x.shape)
-    out, assign, _ = icp.icp_forward(x, p)
+    out, assign, _ = icp.icp_forward(x[None], p)
     expected_owner = np.array([0, 0, 1, 1,
                                0, 0, 1, 1,
                                2, 2, 3, 3,
                                2, 2, 3, 3], dtype=np.int32)
-    np.testing.assert_array_equal(assign.owner, expected_owner)
+    np.testing.assert_array_equal(assign.owner[0], expected_owner)
     # pooled vectors equal quadrant means of the normalized map
     xn, _ = T.layer_norm(x, p.norm_g, p.norm_b)
     sn = xn  # proj_f identity
@@ -80,20 +113,20 @@ def test_quadrant_codes_recover_quadrant_partition():
 def test_odd_extent_rejected():
     p = toy_params(np.random.default_rng(4))
     with pytest.raises(ConfigError):
-        icp.icp_forward(np.zeros((3, 4, 4)), p)
+        icp.icp_forward(np.zeros((1, 3, 4, 4)), p)
 
 
 def test_partition_is_exhaustive():
     rng = np.random.default_rng(5)
     for _ in range(10):
         p = toy_params(rng)
-        x = rng.normal(size=(6, 4, 4))
+        x = rng.normal(size=(1, 6, 4, 4))
         _, assign, _ = icp.icp_forward(x, p)
         members = assign.members()
         assert sum(len(mem) for mem in members) == 24
         np.testing.assert_array_equal(np.sort(np.concatenate(members)), np.arange(24))
         for c, mem in enumerate(members):
-            np.testing.assert_array_equal(assign.owner[mem], c)
+            np.testing.assert_array_equal(assign.owner[0][mem], c)
 
 
 def test_members_batched():
@@ -111,8 +144,8 @@ def test_proj_v_depth_variants():
     for depth in (1, 2, 3):
         p = icp.make_icp_params(rng, 4, 6, depth, dtype=F64)
         assert len(p.proj_v) == depth
-        out, _, _ = icp.icp_forward(rng.normal(size=(4, 4, 4)), p)
-        assert out.shape == (2, 2, 6)
+        out, _, _ = icp.icp_forward(rng.normal(size=(1, 4, 4, 4)), p)
+        assert out.shape == (1, 2, 2, 6)
     with pytest.raises(ConfigError):
         icp.make_icp_params(rng, 4, 6, depth=4)
 
@@ -124,7 +157,7 @@ def test_well_separated_windows_reduce_to_avg_pool():
     p = identity_params(d)
     rng = np.random.default_rng(8)
     window_codes = 50.0 * rng.normal(size=(2, 2, d))
-    x = np.repeat(np.repeat(window_codes, 2, axis=0), 2, axis=1)
+    x = np.repeat(np.repeat(window_codes, 2, axis=0), 2, axis=1)[None]
     out, assign, _ = icp.icp_forward(x, p)
     xn, _ = T.layer_norm(x, p.norm_g, p.norm_b)
     pooled_direct, _ = T.adaptive_avg_pool2d(xn, 2, 2)
@@ -143,7 +176,7 @@ def test_icp_grad_matches_fd():
     rng = np.random.default_rng(9)
     p = toy_params(rng)
     plist = p.params()
-    w = _loss_weights((2, 2, 4), 10)
+    w = _loss_weights((1, 2, 2, 4), 10)
 
     def f(inputs):
         x = inputs[0]
@@ -154,7 +187,7 @@ def test_icp_grad_matches_fd():
         dx = back(w)
         return (out * w).sum(), [dx] + [q.grad for q in plist]
 
-    report = T.grad_check(f, [rng.normal(size=(4, 4, 4))] + [q.value.copy() for q in plist],
+    report = T.grad_check(f, [rng.normal(size=(1, 4, 4, 4))] + [q.value.copy() for q in plist],
                           tol=1e-4)
     assert report.passed, str(report)
 
@@ -163,7 +196,7 @@ def test_fec_grad_matches_fd_excluding_projf():
     rng = np.random.default_rng(11)
     p = toy_params(rng)
     plist = [q for q in p.params() if q is not p.proj_f]
-    w = _loss_weights((2, 2, 4), 12)
+    w = _loss_weights((1, 2, 2, 4), 12)
 
     def f(inputs):
         x = inputs[0]
@@ -171,11 +204,11 @@ def test_fec_grad_matches_fd_excluding_projf():
             q.value = v
             q.grad = None
         p.proj_f.grad = None
-        out, _, back = icp.fec_pool_oracle(x, p)
+        out, _, back = fec_pool_oracle(x, p)
         dx = back(w)
         return (out * w).sum(), [dx] + [q.grad for q in plist]
 
-    report = T.grad_check(f, [rng.normal(size=(4, 4, 4))] + [q.value.copy() for q in plist],
+    report = T.grad_check(f, [rng.normal(size=(1, 4, 4, 4))] + [q.value.copy() for q in plist],
                           tol=1e-4)
     assert report.passed, str(report)
 
@@ -184,8 +217,8 @@ def test_projf_gradient_alive_vs_dead():
     rng = np.random.default_rng(13)
     for trial in range(10):
         p = toy_params(rng)
-        x = rng.normal(size=(4, 4, 4))
-        w = rng.normal(size=(2, 2, 4))
+        x = rng.normal(size=(1, 4, 4, 4))
+        w = rng.normal(size=(1, 2, 2, 4))
 
         for q in p.params():
             q.zero_grad()
@@ -195,7 +228,7 @@ def test_projf_gradient_alive_vs_dead():
 
         for q in p.params():
             q.zero_grad()
-        out2, _, back2 = icp.fec_pool_oracle(x, p)
+        out2, _, back2 = fec_pool_oracle(x, p)
         back2(w)
         assert np.all(p.proj_f.grad == 0.0)
 
@@ -206,9 +239,9 @@ def test_fec_matches_icp_on_identity_wiring():
     d = 4
     p = identity_params(d)
     rng = np.random.default_rng(14)
-    x = rng.normal(size=(4, 4, d))
+    x = rng.normal(size=(1, 4, 4, d))
     out_icp, a1, _ = icp.icp_forward(x, p)
-    out_fec, a2, _ = icp.fec_pool_oracle(x, p)
+    out_fec, a2, _ = fec_pool_oracle(x, p)
     np.testing.assert_array_equal(a1.owner, a2.owner)
     np.testing.assert_allclose(out_icp, out_fec, rtol=1e-12)
 
@@ -220,10 +253,10 @@ def test_fec_matches_icp_on_identity_wiring():
 def test_linear_transition_shapes_and_partition():
     rng = np.random.default_rng(15)
     p = icp.make_linear_transition(rng, 4, 6, dtype=F64)
-    x = rng.normal(size=(4, 4, 4))
+    x = rng.normal(size=(1, 4, 4, 4))
     out, assign, _ = icp.linear_transition_forward(x, p)
-    assert out.shape == (4, 4, 6)
-    np.testing.assert_array_equal(assign.owner, np.arange(16))
+    assert out.shape == (1, 4, 4, 6)
+    np.testing.assert_array_equal(assign.owner[0], np.arange(16))
     assert assign.m == 16 and assign.grid_hw == (4, 4)
 
 
@@ -231,7 +264,7 @@ def test_linear_transition_grad_matches_fd():
     rng = np.random.default_rng(16)
     p = icp.make_linear_transition(rng, 3, 5, dtype=F64)
     plist = p.params()
-    w = _loss_weights((2, 2, 5), 17)
+    w = _loss_weights((1, 2, 2, 5), 17)
 
     def f(inputs):
         x = inputs[0]
@@ -242,6 +275,6 @@ def test_linear_transition_grad_matches_fd():
         dx = back(w)
         return (out * w).sum(), [dx] + [q.grad for q in plist]
 
-    report = T.grad_check(f, [rng.normal(size=(2, 2, 3))] + [q.value.copy() for q in plist],
+    report = T.grad_check(f, [rng.normal(size=(1, 2, 2, 3))] + [q.value.copy() for q in plist],
                           tol=1e-6)
     assert report.passed, str(report)

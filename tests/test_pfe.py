@@ -75,10 +75,10 @@ def _embed_params(rng, d):
 def test_embed_zero_weight_gives_bias():
     b = param("b", [1.5, -2.0])
     w = param("w", np.zeros((2, 4, 4, 5)))
-    img = np.random.default_rng(0).normal(size=(8, 8, 3))
+    img = np.random.default_rng(0).normal(size=(1, 8, 8, 3))
     y, _ = pfe.patch_embed(img, pfe.make_grid(8, 8, dtype=F64), w, b)
-    assert y.shape == (2, 2, 2)
-    np.testing.assert_array_equal(y, np.broadcast_to([1.5, -2.0], (2, 2, 2)))
+    assert y.shape == (1, 2, 2, 2)
+    np.testing.assert_array_equal(y[0], np.broadcast_to([1.5, -2.0], (2, 2, 2)))
 
 
 def test_embed_single_window_dot_product():
@@ -86,10 +86,10 @@ def test_embed_single_window_dot_product():
     w, b = _embed_params(rng, 3)
     img = rng.normal(size=(4, 4, 3))
     grid = pfe.make_grid(4, 4, dtype=F64)
-    y, _ = pfe.patch_embed(img, grid, w, b)
+    y, _ = pfe.patch_embed(img[None], grid, w, b)
     window = np.concatenate([img, grid], axis=-1)  # (4,4,5), same layout as weight rows
     expected = np.tensordot(w.value, window, axes=([1, 2, 3], [0, 1, 2])) + b.value
-    np.testing.assert_allclose(y[0, 0], expected, rtol=1e-12)
+    np.testing.assert_allclose(y[0, 0, 0], expected, rtol=1e-12)
 
 
 def test_embed_identical_patches_identical_outputs_without_grid():
@@ -98,15 +98,15 @@ def test_embed_identical_patches_identical_outputs_without_grid():
     w, b = _embed_params(rng, 4)
     patch = rng.normal(size=(4, 4, 3))
     img = np.concatenate([patch, patch], axis=1)  # (4, 8, 3)
-    y, _ = pfe.patch_embed(img, np.zeros((4, 8, 2)), w, b)
-    np.testing.assert_allclose(y[0, 0], y[0, 1], rtol=1e-12)
+    y, _ = pfe.patch_embed(img[None], np.zeros((4, 8, 2)), w, b)
+    np.testing.assert_allclose(y[0, 0, 0], y[0, 0, 1], rtol=1e-12)
 
 
 def test_embed_output_extent():
     rng = np.random.default_rng(3)
     w, b = _embed_params(rng, 2)
-    y, _ = pfe.patch_embed(rng.normal(size=(12, 8, 3)), pfe.make_grid(12, 8, dtype=F64), w, b)
-    assert y.shape == (3, 2, 2)
+    y, _ = pfe.patch_embed(rng.normal(size=(1, 12, 8, 3)), pfe.make_grid(12, 8, dtype=F64), w, b)
+    assert y.shape == (1, 3, 2, 2)
 
 
 def test_embed_batched_matches_per_sample():
@@ -116,15 +116,15 @@ def test_embed_batched_matches_per_sample():
     imgs = rng.normal(size=(2, 8, 8, 3))
     yb, _ = pfe.patch_embed(imgs, grid, w, b)
     for s in range(2):
-        ys, _ = pfe.patch_embed(imgs[s], grid, w, b)
-        np.testing.assert_array_equal(yb[s], ys)
+        ys, _ = pfe.patch_embed(imgs[s:s + 1], grid, w, b)
+        np.testing.assert_array_equal(yb[s], ys[0])
 
 
 def test_embed_indivisible_extent():
     rng = np.random.default_rng(5)
     w, b = _embed_params(rng, 2)
     with pytest.raises(ConfigError):
-        pfe.patch_embed(np.zeros((6, 8, 3)), np.zeros((6, 8, 2)), w, b)
+        pfe.patch_embed(np.zeros((1, 6, 8, 3)), np.zeros((6, 8, 2)), w, b)
 
 
 def test_embed_grad_matches_fd():
@@ -141,7 +141,7 @@ def test_embed_grad_matches_fd():
         dimg = back(co)
         return (y * co).sum(), [dimg, w.grad, b.grad]
 
-    report = T.grad_check(f, [rng.normal(size=(8, 8, 3)), w.value.copy(), b.value.copy()],
+    report = T.grad_check(f, [rng.normal(size=(1, 8, 8, 3)), w.value.copy(), b.value.copy()],
                           step=1e-5, tol=1e-6)
     assert report.passed, str(report)
 
@@ -151,13 +151,13 @@ def test_embed_grad_matches_fd():
 # ---------------------------------------------------------------------------
 
 def test_pos_residual_zero_kernel_is_identity():
-    x = np.random.default_rng(7).normal(size=(5, 5, 3))
+    x = np.random.default_rng(7).normal(size=(1, 5, 5, 3))
     y, _ = pfe.pos_residual(x, param("dw", np.zeros((3, 3, 3))))
     np.testing.assert_array_equal(y, x)
 
 
 def test_pos_residual_delta_kernel_doubles():
-    x = np.random.default_rng(8).normal(size=(4, 6, 2))
+    x = np.random.default_rng(8).normal(size=(1, 4, 6, 2))
     ker = np.zeros((3, 3, 2))
     ker[1, 1] = 1.0
     y, _ = pfe.pos_residual(x, param("dw", ker))
@@ -166,7 +166,7 @@ def test_pos_residual_delta_kernel_doubles():
 
 def test_pos_residual_decomposition():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(5, 4, 3))
+    x = rng.normal(size=(1, 5, 4, 3))
     dw = param("dw", rng.normal(size=(3, 3, 3)))
     y, _ = pfe.pos_residual(x, dw)
     conv, _ = T.dwconv2d(x, dw)
@@ -185,5 +185,5 @@ def test_pos_residual_grad_matches_fd():
         dx = back(s)
         return (y * s).sum(), [dx, dw.grad]
 
-    report = T.grad_check(f, [rng.normal(size=(4, 4, 2)), dw.value.copy()], tol=1e-6)
+    report = T.grad_check(f, [rng.normal(size=(1, 4, 4, 2)), dw.value.copy()], tol=1e-6)
     assert report.passed, str(report)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cluenet import gfc, icp, pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
 
@@ -87,13 +88,13 @@ def _delta_kernel(k, c):
 
 
 def test_dwconv_delta_kernel_is_identity():
-    x = np.random.default_rng(2).normal(size=(5, 6, 3))
+    x = np.random.default_rng(2).normal(size=(1, 5, 6, 3))
     y, _ = T.dwconv2d(x, param("k", _delta_kernel(3, 3)))
     np.testing.assert_array_equal(y, x)
 
 
 def test_dwconv_single_pixel_center_tap():
-    x = np.random.default_rng(3).normal(size=(1, 1, 2))
+    x = np.random.default_rng(3).normal(size=(1, 1, 1, 2))
     ker = np.random.default_rng(4).normal(size=(3, 3, 2))
     y, _ = T.dwconv2d(x, param("k", ker))
     np.testing.assert_allclose(y, x * ker[1, 1], rtol=1e-15)
@@ -101,15 +102,15 @@ def test_dwconv_single_pixel_center_tap():
 
 def test_dwconv_ones_tap_count():
     # 3x3 all-ones input and kernel: each output counts the in-bounds taps.
-    x = np.ones((3, 3, 1))
+    x = np.ones((1, 3, 3, 1))
     y, _ = T.dwconv2d(x, param("k", np.ones((3, 3, 1))))
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)[:, :, None]
-    np.testing.assert_array_equal(y, expected)
+    np.testing.assert_array_equal(y[0], expected)
 
 
 def test_dwconv_even_kernel_rejected():
     with pytest.raises(ConfigError):
-        T.dwconv2d(np.zeros((4, 4, 1)), param("k", np.zeros((2, 2, 1))))
+        T.dwconv2d(np.zeros((1, 4, 4, 1)), param("k", np.zeros((2, 2, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +118,13 @@ def test_dwconv_even_kernel_rejected():
 # ---------------------------------------------------------------------------
 
 def test_pool_global_mean():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
     y, _ = T.adaptive_avg_pool2d(x, 1, 1)
-    np.testing.assert_allclose(y, [[[2.5]]])
+    np.testing.assert_allclose(y[0], [[[2.5]]])
 
 
 def test_pool_identity():
-    x = np.random.default_rng(5).normal(size=(4, 5, 2))
+    x = np.random.default_rng(5).normal(size=(1, 4, 5, 2))
     y, _ = T.adaptive_avg_pool2d(x, 4, 5)
     np.testing.assert_array_equal(y, x)
 
@@ -132,13 +133,13 @@ def test_pool_quadrants():
     a, b, c, d = 1.0, -2.0, 3.5, 0.25
     x = np.zeros((4, 4, 1))
     x[:2, :2], x[:2, 2:], x[2:, :2], x[2:, 2:] = a, b, c, d
-    y, _ = T.adaptive_avg_pool2d(x, 2, 2)
-    np.testing.assert_array_equal(y[:, :, 0], [[a, b], [c, d]])
+    y, _ = T.adaptive_avg_pool2d(x[None], 2, 2)
+    np.testing.assert_array_equal(y[0, :, :, 0], [[a, b], [c, d]])
 
 
 def test_pool_target_too_large():
     with pytest.raises(DimensionError):
-        T.adaptive_avg_pool2d(np.zeros((2, 2, 1)), 3, 1)
+        T.adaptive_avg_pool2d(np.zeros((1, 2, 2, 1)), 3, 1)
 
 
 def test_pool_windows_partition_input():
@@ -275,11 +276,11 @@ def test_grad_dwconv():
         dx = back(w)
         return (y * w).sum(), [dx, k.grad]
 
-    _check(f, [rng.normal(size=(4, 5, 2)), k.value.copy()])
+    _check(f, [rng.normal(size=(1, 4, 5, 2)), k.value.copy()])
 
 
 def test_grad_dwconv_identity_kernel_passthrough():
-    x = np.random.default_rng(13).normal(size=(3, 3, 1))
+    x = np.random.default_rng(13).normal(size=(1, 3, 3, 1))
     k = param("k", _delta_kernel(3, 1))
     y, back = T.dwconv2d(x, k)
     dx = back(np.ones_like(y))
@@ -295,7 +296,7 @@ def test_grad_adaptive_pool():
         w = np.sin(np.arange(y.size, dtype=np.float64)).reshape(y.shape)
         return (y * w).sum(), [back(w)]
 
-    _check(f, [rng.normal(size=(5, 7, 2))])
+    _check(f, [rng.normal(size=(1, 5, 7, 2))])
 
 
 def test_grad_softmax_weighted():
@@ -398,6 +399,29 @@ def test_trunc_normal_bounds_and_determinism():
     np.testing.assert_array_equal(a, b)
     assert np.all(np.abs(a) <= 0.04 + 1e-9)
     assert a.std() > 0.01
+
+
+MAP_OPS = {
+    "dwconv2d": lambda x: T.dwconv2d(x, param("k", np.zeros((3, 3, 4)))),
+    "adaptive_avg_pool2d": lambda x: T.adaptive_avg_pool2d(x, 2, 2),
+    "patch_embed": lambda x: pfe.patch_embed(x[..., :3], pfe.make_grid(4, 4, dtype=F64),
+                                             param("w", np.zeros((2, 4, 4, 5))),
+                                             param("b", np.zeros(2))),
+    "gfc_block_forward": lambda x: gfc.gfc_block_forward(
+        x, gfc.make_gfc_params(np.random.default_rng(0), 4, 4, 1, (2, 2), dtype=F64)),
+    "icp_forward": lambda x: icp.icp_forward(
+        x, icp.make_icp_params(np.random.default_rng(0), 4, 4, dtype=F64)),
+    "linear_transition_forward": lambda x: icp.linear_transition_forward(
+        x, icp.make_linear_transition(np.random.default_rng(0), 4, 4, dtype=F64)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(MAP_OPS))
+def test_map_ops_require_batch_axis(op):
+    x = np.random.default_rng(22).normal(size=(1, 4, 4, 4))
+    MAP_OPS[op](x)
+    with pytest.raises(DimensionError, match=r"\(B, H, W, C\)"):
+        MAP_OPS[op](x[0])
 
 
 def test_assert_finite_raises():
