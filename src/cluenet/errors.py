@@ -1,8 +1,4 @@
-"""Exception taxonomy shared across the package.
-
-The CLI maps these onto exit codes: ConfigError -> 2, FormatError -> 3,
-TrainingError and failed numerical checks -> 4.
-"""
+"""Exception taxonomy shared across the package."""
 
 
 class CluenetError(Exception):

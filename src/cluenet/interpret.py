@@ -1,10 +1,12 @@
 """Receptive-field tracing, cluster merging, and overlay rendering.
 
 Because every pooling step is a hard partition, the exact set of image
-pixels feeding any feature point is computable: compose the 4x4 patch
-footprint with the member lists of each pooling step. Cluster assignments
-then color those footprints, K-Means merges centers into fewer groups for
-readable maps, and the renderer writes plain binary PPM images.
+pixels feeding any feature point is computable: composing the pools'
+``owner`` arrays from stage 0 up maps each stage-0 point to the one point
+of a later stage it feeds, and each stage-0 point covers one patch x patch
+pixel block. Cluster assignments then color those footprints, K-Means
+merges centers into fewer groups for readable maps, and the renderer
+writes plain binary PPM images.
 """
 
 from __future__ import annotations
@@ -40,39 +42,53 @@ class TraceBundle:
 # receptive fields
 # ---------------------------------------------------------------------------
 
+def _stage_owner(trace: TraceBundle, stage: int) -> np.ndarray:
+    """Flat index of the ``stage`` point each stage-0 point feeds.
+
+    Composes ``pools[k].owner`` for k < stage; the result has one entry per
+    point of the stage-0 grid.
+    """
+    h0, w0 = trace.stage_hw[0]
+    owner = np.arange(h0 * w0)
+    for pool in trace.pools[:stage]:
+        owner = pool.owner[owner]
+    return owner
+
+
+def _patch_pixels(trace: TraceBundle, points: np.ndarray) -> set[tuple[int, int]]:
+    """Image pixels of the patch x patch blocks of stage-0 ``points``."""
+    p = trace.patch
+    r, c = np.divmod(points, trace.stage_hw[0][1])
+    dr, dc = np.divmod(np.arange(p * p), p)
+    rows = (r[:, None] * p + dr).ravel()
+    cols = (c[:, None] * p + dc).ravel()
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
 def receptive_field(trace: TraceBundle, stage: int, point: int) -> set[tuple[int, int]]:
     """Image pixels feeding feature point ``point`` of ``stage`` (0-based).
 
     ``point`` is the flat row-major index into the stage map. The result is
-    the union of 4x4 patch blocks selected by composing the pool partitions
-    back to stage 0.
+    the union of the patch blocks of the stage-0 points that the composed
+    owner map sends to ``point``.
     """
     if not 0 <= stage < len(trace.stage_hw):
         raise ValueError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
     hh, ww = trace.stage_hw[stage]
     if not 0 <= point < hh * ww:
         raise ValueError(f"point {point} out of range for a {hh}x{ww} map")
-    current = np.array([point], dtype=np.int64)
-    for k in range(stage - 1, -1, -1):
-        owner = trace.pools[k].owner
-        current = np.flatnonzero(np.isin(owner, current))
-    h0, w0 = trace.stage_hw[0]
-    p = trace.patch
-    pixels = set()
-    for idx in current:
-        r, c = divmod(int(idx), w0)
-        for dr in range(p):
-            for dc in range(p):
-                pixels.add((r * p + dr, c * p + dc))
-    return pixels
+    return _patch_pixels(trace, np.flatnonzero(_stage_owner(trace, stage) == point))
 
 
 def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
                             head: int, block: int = 0) -> set[tuple[int, int]]:
-    """Union of receptive fields of all points assigned to ``cluster``.
+    """Image pixels feeding the points of ``stage`` assigned to ``cluster``.
 
-    An empty cluster yields an empty set.
+    Selects the stage-0 points whose composed owner has column ``cluster``
+    under ``head``. An empty cluster yields an empty set.
     """
+    if not 0 <= stage < len(trace.stage_hw):
+        raise ValueError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
     states = trace.states[stage]
     if not 0 <= block < len(states):
         raise ValueError(f"block {block} out of range [0,{len(states)})")
@@ -82,10 +98,7 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     cols = st.assignment.cols[head]
     if not 0 <= cluster < st.assignment.m:
         raise ValueError(f"cluster {cluster} out of range [0,{st.assignment.m})")
-    out: set[tuple[int, int]] = set()
-    for point in np.flatnonzero(cols == cluster):
-        out |= receptive_field(trace, stage, int(point))
-    return out
+    return _patch_pixels(trace, np.flatnonzero(cols[_stage_owner(trace, stage)] == cluster))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +247,12 @@ def render_overlay(image: np.ndarray, pixel_sets: list[set[tuple[int, int]]],
     label = np.full((hh, ww), -1, dtype=np.int64)
     for idx, pset in enumerate(pixel_sets):
         color = np.array(spec.palette[idx], dtype=np.float64) / 255.0
-        for (r, c) in pset:
-            if not (0 <= r < hh and 0 <= c < ww):
-                raise ValueError(f"pixel ({r},{c}) outside {hh}x{ww} image")
-            out[r, c] = (1.0 - spec.alpha) * base[r, c] + spec.alpha * color
-            label[r, c] = idx
+        r, c = np.array(list(pset), dtype=np.int64).reshape(-1, 2).T
+        bad = np.flatnonzero((r < 0) | (r >= hh) | (c < 0) | (c >= ww))
+        if bad.size:
+            raise ValueError(f"pixel ({r[bad[0]]},{c[bad[0]]}) outside {hh}x{ww} image")
+        out[r, c] = (1.0 - spec.alpha) * base[r, c] + spec.alpha * color
+        label[r, c] = idx
     if spec.outline:
         edge_r = label[:-1, :] != label[1:, :]
         edge_c = label[:, :-1] != label[:, 1:]
