@@ -26,24 +26,24 @@ from .errors import ConfigError, DimensionError
 
 #: temperature floor; inside the clamp the temperature gradient is zero.
 TAU_MIN = 0.01
+#: FFN hidden width as a multiple of the block width.
+FFN_EXPANSION = 4
 
 
 @dataclass(frozen=True)
 class BlockFlags:
-    """Structural switches (all on for the full model).
+    """The paper's structural ablations (both on for the full model). Only
+    switches that no parameter value reproduces are flags: a fixed 0.5/0.5
+    fusion is a zeroed gate, and no positional residual is a zero kernel.
 
-    fa:   feature aggregation — soft attention + fusion updates the centers;
-          off leaves centers at their grid-pooled initialization.
+    fa:   feature aggregation — soft attention + gated fusion updates the
+          centers; off leaves centers at their grid-pooled initialization.
     tcos: temperature-scaled cosine attention; off falls back to dot-product
           attention scaled by 1/sqrt(head width).
-    gate: learned per-center blend; off uses a fixed 0.5/0.5 mix.
-    pos:  depth-wise positional residuals (stem and every FFN).
     """
 
     fa: bool = True
     tcos: bool = True
-    gate: bool = True
-    pos: bool = True
 
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -243,8 +243,9 @@ class ClusterState:
 
 @dataclass
 class GfcParams:
-    """Everything one block owns. Optional fields are absent under ablation
-    flags, or when the block consumes a shared assignment (w_q/alpha/beta)."""
+    """Everything one block owns. tau_raw and gate are absent when the flags
+    switch them off, w_q/alpha/beta when the block consumes a shared
+    assignment."""
 
     d: int
     dp: int
@@ -268,7 +269,7 @@ class GfcParams:
     norm2_b: T.Parameter
     ffn_w1: T.Parameter
     ffn_b1: T.Parameter
-    ffn_dw: T.Parameter | None
+    ffn_dw: T.Parameter
     ffn_w2: T.Parameter
     ffn_b2: T.Parameter
 
@@ -285,10 +286,7 @@ class GfcParams:
         if self.w_q is not None:
             out.extend([self.w_q, self.alpha, self.beta])
         out.extend([self.fc_out, self.b_out, self.norm2_g, self.norm2_b,
-                    self.ffn_w1, self.ffn_b1])
-        if self.ffn_dw is not None:
-            out.append(self.ffn_dw)
-        out.extend([self.ffn_w2, self.ffn_b2])
+                    self.ffn_w1, self.ffn_b1, self.ffn_dw, self.ffn_w2, self.ffn_b2])
         return out
 
 
@@ -311,26 +309,26 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     def const(pname, val):
         return T.Parameter(f"{name}.{pname}", np.asarray(val, dtype=dtype))
 
-    use_agg = flags.fa
     gate = None
-    if use_agg and flags.gate:
+    if flags.fa:
         gate = T.Mlp2Params(tn("gate.w1", (dp, 2 * dp)), zeros("gate.b1", (dp,)),
                             tn("gate.w2", (1, dp)), zeros("gate.b2", (1,)))
+    hidden = FFN_EXPANSION * d
     return GfcParams(
         d=d, dp=dp, heads=heads, grid_hw=grid_hw, flags=flags,
         norm1_g=const("norm1_g", np.ones(d)), norm1_b=zeros("norm1_b", (d,)),
         w_s=tn("w_s", (dp, d)), b_s=zeros("b_s", (dp,)),
         w_v=tn("w_v", (dp, d)), b_v=zeros("b_v", (dp,)),
-        tau_raw=const("tau_raw", 0.0) if (use_agg and flags.tcos) else None,
+        tau_raw=const("tau_raw", 0.0) if (flags.fa and flags.tcos) else None,
         gate=gate,
         w_q=tn("w_q", (dp, dp)) if owns_assignment else None,
         alpha=const("alpha", 1.0) if owns_assignment else None,
         beta=const("beta", 0.0) if owns_assignment else None,
         fc_out=zeros("fc_out", (d, dp)), b_out=zeros("b_out", (d,)),
         norm2_g=const("norm2_g", np.ones(d)), norm2_b=zeros("norm2_b", (d,)),
-        ffn_w1=tn("ffn_w1", (4 * d, d)), ffn_b1=zeros("ffn_b1", (4 * d,)),
-        ffn_dw=tn("ffn_dw", (3, 3, 4 * d)) if flags.pos else None,
-        ffn_w2=zeros("ffn_w2", (d, 4 * d)), ffn_b2=zeros("ffn_b2", (d,)),
+        ffn_w1=tn("ffn_w1", (hidden, d)), ffn_b1=zeros("ffn_b1", (hidden,)),
+        ffn_dw=tn("ffn_dw", (3, 3, hidden)),
+        ffn_w2=zeros("ffn_w2", (d, hidden)), ffn_b2=zeros("ffn_b2", (d,)),
     )
 
 
@@ -369,13 +367,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         else:
             tau = math.sqrt(dh)
         agg_h, s_c, back_agg = soft_aggregate(cs_h, ps_h, pv_h, tau, cosine=p.flags.tcos)
-        agg = merge_heads(agg_h)
-        if p.flags.gate:
-            cvt, back_fuse = gated_fuse(cv0, agg, p.gate)
-        else:
-            g_half = np.asarray(0.5, dtype=x.dtype)
-            cvt = (1.0 - g_half) * agg + g_half * cv0
-            back_fuse = lambda d_out: (d_out * g_half, d_out * (1.0 - g_half))
+        cvt, back_fuse = gated_fuse(cv0, merge_heads(agg_h), p.gate)
     else:
         cvt = cv0
 
@@ -400,10 +392,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
 
     y1n, back_norm2 = T.layer_norm(y1, p.norm2_g, p.norm2_b)
     h1, back_f1 = T.linear(y1n, p.ffn_w1, p.ffn_b1)
-    if p.flags.pos:
-        h1p, back_posr = pos_residual(h1, p.ffn_dw)
-    else:
-        h1p = h1
+    h1p, back_posr = pos_residual(h1, p.ffn_dw)
     a1, back_act = T.gelu(h1p)
     f2, back_f2 = T.linear(a1, p.ffn_w2, p.ffn_b2)
     y = y1 + f2
@@ -412,9 +401,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
                          heads=heads, grid_hw=p.grid_hw)
 
     def backward(dy: np.ndarray, d_shared: np.ndarray | None = None):
-        d_h1p = back_act(back_f2(dy))
-        d_h1 = back_posr(d_h1p) if p.flags.pos else d_h1p
-        d_y1 = dy + back_norm2(back_f1(d_h1))
+        d_y1 = dy + back_norm2(back_f1(back_posr(back_act(back_f2(dy)))))
 
         d_p, d_weights, d_cvt_h = back_disp(d_y1.reshape(bsz, n, d))
         d_cvt = merge_heads(d_cvt_h)
@@ -459,8 +446,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
 # ---------------------------------------------------------------------------
 
 def block_macs(n: int, m: int, d: int, dp: int, heads: int,
-               flags: BlockFlags = BlockFlags(), expansion: int = 4,
-               owns_assignment: bool = True) -> int:
+               flags: BlockFlags = BlockFlags(), owns_assignment: bool = True) -> int:
     """Multiply-add count of one block forward.
 
     Inventory covers the projections, the attention/assignment similarity
@@ -468,7 +454,7 @@ def block_macs(n: int, m: int, d: int, dp: int, heads: int,
     the pixel count n except the query projection and the gate (which touch
     only the m centers), so cost is O(n) at fixed (m, d').
     """
-    dh = dp // heads
+    hidden = FFN_EXPANSION * d
     total = 0
     total += 2 * n * d * dp                 # similarity/value projections
     total += n * dp                          # center grid pooling
@@ -477,18 +463,14 @@ def block_macs(n: int, m: int, d: int, dp: int, heads: int,
         total += m * n * dp + (n + m) * dp   # center-pixel similarities + row norms
         total += 2 * heads * m * n           # softmax exp + normalize
         total += m * n * dp                  # value aggregation
-        if flags.gate:
-            total += m * (2 * dp * dp + dp) + m * dp + 3 * m * dp  # gate mlp + blend
-        else:
-            total += 2 * m * dp
+        total += m * (2 * dp * dp + dp) + m * dp + 3 * m * dp  # gate mlp + blend
     if owns_assignment:
         total += m * dp * dp                 # query projection
         total += n * m * dp + (n + m) * dp   # pixel-query similarities
         total += 3 * heads * n * m           # affine + sigmoid
     total += n * dp                          # dispatch gather/scale
     total += n * dp * d                      # dispatch output projection
-    total += n * d * expansion * d * 2       # FFN in/out projections
-    if flags.pos:
-        total += 9 * expansion * d * n       # depth-wise positional residual
-    total += n * expansion * d               # activation
+    total += n * d * hidden * 2              # FFN in/out projections
+    total += 9 * hidden * n                  # depth-wise positional residual
+    total += n * hidden                      # activation
     return int(total)

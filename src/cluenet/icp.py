@@ -42,59 +42,38 @@ class PoolAssignment:
 class IcpParams:
     """Transition parameters: similarity projection plus output perceptron.
 
-    ``proj_v`` is a stack of 1-3 linear layers with GELU between them; depth
-    2 is the default, 1 and 3 are config variants.
+    ``proj_v`` is the two-layer perceptron d_in -> d_out -> d_out (GELU
+    between) that maps pooled similarity vectors to the next stage's width.
     """
 
     norm_g: T.Parameter
     norm_b: T.Parameter
     proj_f: T.Parameter                       # (d_s, d_in), no bias
-    proj_v: list[tuple[T.Parameter, T.Parameter]]
+    proj_v: T.Mlp2Params
     d_in: int
     d_out: int
 
     def params(self) -> list[T.Parameter]:
-        out = [self.norm_g, self.norm_b, self.proj_f]
-        for w, b in self.proj_v:
-            out.extend([w, b])
-        return out
+        return [self.norm_g, self.norm_b, self.proj_f] + self.proj_v.params()
 
 
 def make_icp_params(rng: np.random.Generator, d_in: int, d_out: int,
-                    depth: int = 2, dtype=T.F32, name: str = "trans") -> IcpParams:
-    if depth not in (1, 2, 3):
-        raise ConfigError(f"{name}: proj_v depth must be 1, 2 or 3, got {depth}")
-    layers = []
-    width_in = d_in
-    for i in range(depth):
-        w = T.Parameter(f"{name}.proj_v{i + 1}.w",
-                        T.trunc_normal(rng, (d_out, width_in), 0.02, dtype))
-        b = T.Parameter(f"{name}.proj_v{i + 1}.b", np.zeros(d_out, dtype=dtype))
-        layers.append((w, b))
-        width_in = d_out
+                    dtype=T.F32, name: str = "trans") -> IcpParams:
+    def tn(pname, shape):
+        return T.Parameter(f"{name}.{pname}", T.trunc_normal(rng, shape, 0.02, dtype))
+
+    def zeros(pname, width):
+        return T.Parameter(f"{name}.{pname}", np.zeros(width, dtype=dtype))
+
+    # draw order w1, w2, proj_f: seeded networks and checkpoints depend on it
+    w1 = tn("proj_v1.w", (d_out, d_in))
+    w2 = tn("proj_v2.w", (d_out, d_out))
     return IcpParams(
         norm_g=T.Parameter(f"{name}.norm_g", np.ones(d_in, dtype=dtype)),
-        norm_b=T.Parameter(f"{name}.norm_b", np.zeros(d_in, dtype=dtype)),
-        proj_f=T.Parameter(f"{name}.proj_f", T.trunc_normal(rng, (d_in, d_in), 0.02, dtype)),
-        proj_v=layers, d_in=d_in, d_out=d_out)
-
-
-def _proj_v_forward(x: np.ndarray, layers: list[tuple[T.Parameter, T.Parameter]]):
-    backs = []
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h, back_lin = T.linear(h, w, b)
-        backs.append(back_lin)
-        if i + 1 < len(layers):
-            h, back_act = T.gelu(h)
-            backs.append(back_act)
-
-    def backward(dy: np.ndarray) -> np.ndarray:
-        for back in reversed(backs):
-            dy = back(dy)
-        return dy
-
-    return h, backward
+        norm_b=zeros("norm_b", d_in),
+        proj_f=tn("proj_f", (d_in, d_in)),
+        proj_v=T.Mlp2Params(w1, zeros("proj_v1.b", d_out), w2, zeros("proj_v2.b", d_out)),
+        d_in=d_in, d_out=d_out)
 
 
 def _partition(s_flat: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -156,7 +135,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     s_flat = s_map.reshape(bsz, n, p.d_in)
     owner = _partition(s_flat, seeds)
     pooled, _, back_means = _pool_means(s_flat, owner, seeds)
-    out_flat, back_projv = _proj_v_forward(pooled, p.proj_v)
+    out_flat, back_projv = T.mlp2(pooled, p.proj_v)
     out = out_flat.reshape(bsz, h2, w2, p.d_out)
     assign = PoolAssignment(owner=owner, m=m, grid_hw=(h2, w2))
 

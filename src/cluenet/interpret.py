@@ -254,16 +254,17 @@ def render_overlay(image: np.ndarray, pixel_sets: list[set[tuple[int, int]]],
         out[r, c] = (1.0 - spec.alpha) * base[r, c] + spec.alpha * color
         label[r, c] = idx
     if spec.outline:
+        # a labelled pixel with a differently labelled 4-neighbour takes its own color
+        edge = np.zeros((hh, ww), dtype=bool)
         edge_r = label[:-1, :] != label[1:, :]
         edge_c = label[:, :-1] != label[:, 1:]
-        for idx in range(len(pixel_sets)):
-            color = np.array(spec.palette[idx], dtype=np.float64) / 255.0
-            mask = np.zeros((hh, ww), dtype=bool)
-            mask[:-1, :] |= edge_r & (label[:-1, :] == idx)
-            mask[1:, :] |= edge_r & (label[1:, :] == idx)
-            mask[:, :-1] |= edge_c & (label[:, :-1] == idx)
-            mask[:, 1:] |= edge_c & (label[:, 1:] == idx)
-            out[mask] = color
+        edge[:-1, :] |= edge_r
+        edge[1:, :] |= edge_r
+        edge[:, :-1] |= edge_c
+        edge[:, 1:] |= edge_c
+        edge &= label >= 0
+        colors = np.array(spec.palette[:len(pixel_sets)], dtype=np.float64).reshape(-1, 3) / 255.0
+        out[edge] = colors[label[edge]]
     rendered = np.clip(np.rint(out * 255.0), 0, 255).astype(np.uint8)
     write_ppm(out_path, rendered)
     return rendered
@@ -291,7 +292,6 @@ def write_trace(path, trace: TraceBundle) -> None:
             entries[f"{btag}/assignment/weights"] = st.assignment.weights.astype(np.float32)
             entries[f"{btag}/centers"] = st.centers_v.astype(np.float32)
             entries[f"{btag}/grid_hw"] = np.asarray(st.grid_hw, dtype=np.int32)
-        entries[f"{tag}/centers"] = states[0].centers_v.astype(np.float32)
     for k, pool in enumerate(trace.pools):
         tag = f"stage{k + 1}/pool"
         entries[f"{tag}/owner"] = pool.owner.astype(np.int32)

@@ -10,7 +10,7 @@ autodiff graph; composite modules chain these closures explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -38,21 +38,16 @@ def assert_finite(x: np.ndarray, where: str) -> None:
 class Parameter:
     """A named, learnable array with an optional gradient accumulator."""
 
-    def __init__(self, name: str, value: np.ndarray, learnable: bool = True):
+    def __init__(self, name: str, value: np.ndarray):
         self.name = name
         value = np.asarray(value)
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         self.value = value if value.ndim == 0 else np.ascontiguousarray(value)
         self.grad: np.ndarray | None = None
-        self.learnable = learnable
 
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def numel(self) -> int:
-        return int(self.value.size)
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.value)
@@ -68,7 +63,7 @@ class Parameter:
             self.grad += g
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Parameter({self.name!r}, shape={self.value.shape}, learnable={self.learnable})"
+        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=F32) -> np.ndarray:
@@ -158,7 +153,8 @@ def mlp2(x: np.ndarray, p: Mlp2Params):
 
 def sigmoid(x: np.ndarray):
     # Stable in both tails: exp of a non-positive argument only.
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     y = y.astype(x.dtype, copy=False)
 
     def backward(dy: np.ndarray) -> np.ndarray:
@@ -302,11 +298,9 @@ class GradCheckReport:
     """Result of comparing analytic gradients against central differences."""
 
     max_rel_err: float
-    max_abs_err: float
     worst: tuple[int, int]  # (input index, flat coordinate)
     passed: bool
     failure: str | None = None
-    per_input: list[float] = field(default_factory=list)
 
     def __str__(self):
         status = "ok" if self.passed else f"FAIL ({self.failure or 'tolerance exceeded'})"
@@ -326,18 +320,15 @@ def grad_check(f, inputs: list[np.ndarray], step: float = 1e-5, tol: float = 1e-
             raise ConfigError(f"grad_check requires float64 inputs; input {i} is {x.dtype}")
     loss0, grads = f(inputs)
     if not np.isfinite(loss0):
-        return GradCheckReport(math.inf, math.inf, (-1, -1), False, failure="non-finite loss")
+        return GradCheckReport(math.inf, (-1, -1), False, failure="non-finite loss")
     max_rel = 0.0
-    max_abs = 0.0
     worst = (0, 0)
-    per_input = []
     for i, x in enumerate(inputs):
         g = grads[i]
         if not np.all(np.isfinite(g)):
             bad = int(np.flatnonzero(~np.isfinite(g).ravel())[0])
-            return GradCheckReport(math.inf, math.inf, (i, bad), False,
+            return GradCheckReport(math.inf, (i, bad), False,
                                    failure=f"non-finite analytic gradient at input {i}[{bad}]")
-        rel_i = 0.0
         flat = x.ravel()
         for j in range(flat.size):
             orig = flat[j]
@@ -348,14 +339,10 @@ def grad_check(f, inputs: list[np.ndarray], step: float = 1e-5, tol: float = 1e-
             flat[j] = orig
             fd = (lp - lm) / (2.0 * step)
             if not (np.isfinite(lp) and np.isfinite(lm)):
-                return GradCheckReport(math.inf, math.inf, (i, j), False,
+                return GradCheckReport(math.inf, (i, j), False,
                                        failure=f"non-finite loss while perturbing input {i}[{j}]")
             an = g.ravel()[j]
-            abs_err = abs(an - fd)
-            rel = abs_err / max(abs(an), abs(fd), 1e-6)
+            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
             if rel > max_rel:
                 max_rel, worst = rel, (i, j)
-            max_abs = max(max_abs, abs_err)
-            rel_i = max(rel_i, rel)
-        per_input.append(rel_i)
-    return GradCheckReport(max_rel, max_abs, worst, max_rel <= tol, per_input=per_input)
+    return GradCheckReport(max_rel, worst, max_rel <= tol)

@@ -454,29 +454,6 @@ def test_block_single_vs_dual_head_duplication():
     np.testing.assert_array_equal(st2.assignment.cols[0, 1], st1.assignment.cols[0, 0])
 
 
-def test_block_gate_off_equals_zeroed_gate():
-    rng = np.random.default_rng(28)
-    p_on = toy_block(rng)
-    for q in p_on.gate.params():
-        q.value = np.zeros_like(q.value)
-    p_off = dataclasses.replace(p_on, flags=gfc.BlockFlags(gate=False), gate=None)
-    x = rng.normal(size=(1, 4, 4, 8))
-    y_on, _, _ = gfc.gfc_block_forward(x, p_on)
-    y_off, _, _ = gfc.gfc_block_forward(x, p_off)
-    np.testing.assert_array_equal(y_on, y_off)
-
-
-def test_block_pos_off_equals_zero_kernel():
-    rng = np.random.default_rng(29)
-    p_on = toy_block(rng)
-    p_on.ffn_dw.value = np.zeros_like(p_on.ffn_dw.value)
-    p_off = dataclasses.replace(p_on, flags=gfc.BlockFlags(pos=False), ffn_dw=None)
-    x = rng.normal(size=(1, 4, 4, 8))
-    y_on, _, _ = gfc.gfc_block_forward(x, p_on)
-    y_off, _, _ = gfc.gfc_block_forward(x, p_off)
-    np.testing.assert_array_equal(y_on, y_off)
-
-
 def test_block_fa_off_equals_saturated_gate():
     rng = np.random.default_rng(30)
     p_on = toy_block(rng)
@@ -519,7 +496,7 @@ def test_block_grad_matches_fd_all_flags():
 
 def test_block_grad_matches_fd_reduced_flags():
     rng = np.random.default_rng(32)
-    flags = gfc.BlockFlags(fa=True, tcos=False, gate=False, pos=False)
+    flags = gfc.BlockFlags(tcos=False)
     p = toy_block(rng, d=4, dp=4, heads=1, grid=(2, 2), flags=flags)
     _block_fd(p, rng.normal(size=(1, 3, 3, 4)))
 

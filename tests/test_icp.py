@@ -10,24 +10,25 @@ from cluenet.errors import ConfigError
 F64 = np.float64
 
 
-def toy_params(rng, d_in=4, d_out=4, depth=2, scale=10.0):
-    p = icp.make_icp_params(rng, d_in, d_out, depth, dtype=F64)
+def toy_params(rng, d_in=4, d_out=4, scale=10.0):
+    p = icp.make_icp_params(rng, d_in, d_out, dtype=F64)
     # inflate projections so similarity rows clear the cosine eps floor
-    p.proj_f.value = p.proj_f.value * scale
-    for w, _ in p.proj_v:
+    for w in (p.proj_f, p.proj_v.w1, p.proj_v.w2):
         w.value = w.value * scale
     return p
 
 
 def identity_params(d):
-    """proj_f = I, single-layer proj_v = I, norm disabled via gamma=1/beta=0
-    replaced by an exact passthrough (gamma large would distort; instead we
-    bypass normalization by feeding pre-normalized rows in the tests)."""
-    p = icp.make_icp_params(np.random.default_rng(0), d, d, depth=1, dtype=F64)
+    """proj_f = I, so the similarity space is the normalized feature space;
+    expected outputs are member means pushed through ``project``."""
+    p = icp.make_icp_params(np.random.default_rng(0), d, d, dtype=F64)
     p.proj_f.value = np.eye(d)
-    p.proj_v[0][0].value = np.eye(d)
-    p.proj_v[0][1].value = np.zeros(d)
     return p
+
+
+def project(p, pooled):
+    """What icp_forward's output perceptron makes of pooled vectors."""
+    return T.mlp2(pooled, p.proj_v)[0]
 
 
 def fec_pool_oracle(x, p):
@@ -51,7 +52,7 @@ def fec_pool_oracle(x, p):
     raw_seeds_map, back_raw_pool = T.adaptive_avg_pool2d(xn, h2, w2)
     pooled, _, back_means = icp._pool_means(xn.reshape(bsz, n, d), owner,
                                             raw_seeds_map.reshape(bsz, m, d))
-    out_flat, back_projv = icp._proj_v_forward(pooled, p.proj_v)
+    out_flat, back_projv = T.mlp2(pooled, p.proj_v)
     out = out_flat.reshape(bsz, h2, w2, p.d_out)
 
     def backward(d_out):
@@ -84,7 +85,8 @@ def test_single_cluster_pools_global_mean():
     x = np.random.default_rng(2).normal(size=(1, 2, 2, d))
     out, assign, _ = icp.icp_forward(x, p)
     xn, _ = T.layer_norm(x, p.norm_g, p.norm_b)
-    np.testing.assert_allclose(out.reshape(d), xn.reshape(4, d).mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(out.reshape(d), project(p, xn.reshape(4, d).mean(axis=0)),
+                               rtol=1e-10)
     np.testing.assert_array_equal(assign.owner[0], np.zeros(4, dtype=np.int32))
 
 
@@ -107,7 +109,7 @@ def test_quadrant_codes_recover_quadrant_partition():
     sn = xn  # proj_f identity
     for c, (r0, c0) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
         member_mean = sn[r0:r0 + 2, c0:c0 + 2].reshape(4, d).mean(axis=0)
-        np.testing.assert_allclose(out.reshape(4, d)[c], member_mean, rtol=1e-10)
+        np.testing.assert_allclose(out.reshape(4, d)[c], project(p, member_mean), rtol=1e-10)
 
 
 def test_odd_extent_rejected():
@@ -139,15 +141,11 @@ def test_members_batched():
         assert sum(len(mem) for mem in members) == 16
 
 
-def test_proj_v_depth_variants():
+def test_proj_v_maps_to_output_width():
     rng = np.random.default_rng(7)
-    for depth in (1, 2, 3):
-        p = icp.make_icp_params(rng, 4, 6, depth, dtype=F64)
-        assert len(p.proj_v) == depth
-        out, _, _ = icp.icp_forward(rng.normal(size=(1, 4, 4, 4)), p)
-        assert out.shape == (1, 2, 2, 6)
-    with pytest.raises(ConfigError):
-        icp.make_icp_params(rng, 4, 6, depth=4)
+    p = icp.make_icp_params(rng, 4, 6, dtype=F64)
+    out, _, _ = icp.icp_forward(rng.normal(size=(1, 4, 4, 4)), p)
+    assert out.shape == (1, 2, 2, 6)
 
 
 def test_well_separated_windows_reduce_to_avg_pool():
@@ -161,7 +159,7 @@ def test_well_separated_windows_reduce_to_avg_pool():
     out, assign, _ = icp.icp_forward(x, p)
     xn, _ = T.layer_norm(x, p.norm_g, p.norm_b)
     pooled_direct, _ = T.adaptive_avg_pool2d(xn, 2, 2)
-    np.testing.assert_allclose(out, pooled_direct, rtol=1e-10)
+    np.testing.assert_allclose(out, project(p, pooled_direct), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
