@@ -17,6 +17,7 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -85,12 +86,15 @@ def read_container(path) -> dict[str, np.ndarray]:
             dims = struct.unpack_from(f"<{rank}I", data, off)
             off += 4 * rank
             dtype = _CODE_TO_DTYPE[code]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+            nbytes = math.prod(dims) * dtype.itemsize
             payload = data[off:off + nbytes]
             if len(payload) != nbytes:
                 raise FormatError(f"{path}: truncated payload for entry {name!r}")
             off += nbytes
-            entries[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+            try:
+                entries[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+            except ValueError as exc:   # e.g. a corrupt rank whose dims include a 0
+                raise FormatError(f"{path}: entry {name!r} has invalid shape {dims}") from exc
     except struct.error as exc:
         raise FormatError(f"{path}: truncated container ({exc})") from exc
     if off != len(data):

@@ -30,13 +30,6 @@ class PoolAssignment:
     m: int                       # cluster count
     grid_hw: tuple[int, int]     # output grid the clusters live on
 
-    def members(self, batch: int = 0) -> list[np.ndarray]:
-        """Pixel index lists per cluster; together they partition [0, n)."""
-        owner = self.owner[batch] if self.owner.ndim == 2 else self.owner
-        order = np.argsort(owner, kind="stable")
-        bounds = np.searchsorted(owner[order], np.arange(self.m + 1))
-        return [order[bounds[c]:bounds[c + 1]] for c in range(self.m)]
-
 
 @dataclass
 class IcpParams:
@@ -156,8 +149,8 @@ def icp_forward(x: np.ndarray, p: IcpParams):
 class LinearTransitionParams:
     """Channel-only stage transition: norm then a per-pixel projection.
 
-    Used as the first transition when the stage-1 map is already too small
-    to halve three times; records an identity partition so receptive-field
+    Used as the last transition, where the map is already too small to
+    halve again; records an identity partition so receptive-field
     composition stays uniform.
     """
 

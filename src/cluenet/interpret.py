@@ -1,12 +1,12 @@
 """Receptive-field tracing, cluster merging, and overlay rendering.
 
-Because every pooling step is a hard partition, the exact set of image
-pixels feeding any feature point is computable: composing the pools'
-``owner`` arrays from stage 0 up maps each stage-0 point to the one point
-of a later stage it feeds, and each stage-0 point covers one patch x patch
-pixel block. Cluster assignments then color those footprints, K-Means
-merges centers into fewer groups for readable maps, and the renderer
-writes plain binary PPM images.
+Every pooling step is a hard partition, so the exact image pixels feeding
+any feature point are computable: composing the pools' ``owner`` arrays
+from stage 0 up maps each stage-0 point to the one later point it feeds,
+and each stage-0 point covers one patch x patch pixel block. A receptive
+field is a 1-D ascending array of flat pixel indices ``r * W + c``. Cluster
+assignments color those footprints, K-Means merges centers into fewer
+groups for readable maps, and the renderer writes binary PPM images.
 """
 
 from __future__ import annotations
@@ -42,50 +42,40 @@ class TraceBundle:
 # receptive fields
 # ---------------------------------------------------------------------------
 
-def _stage_owner(trace: TraceBundle, stage: int) -> np.ndarray:
-    """Flat index of the ``stage`` point each stage-0 point feeds.
+def _pixel_labels(trace: TraceBundle, stage: int) -> np.ndarray:
+    """(H, W) image of the flat ``stage`` point each image pixel feeds.
 
-    Composes ``pools[k].owner`` for k < stage; the result has one entry per
-    point of the stage-0 grid.
+    Composes ``pools[k].owner`` for k < stage over the stage-0 grid, then
+    widens each stage-0 point to its patch x patch pixel block.
     """
     h0, w0 = trace.stage_hw[0]
     owner = np.arange(h0 * w0)
     for pool in trace.pools[:stage]:
         owner = pool.owner[owner]
-    return owner
+    return owner.reshape(h0, w0).repeat(trace.patch, axis=0).repeat(trace.patch, axis=1)
 
 
-def _patch_pixels(trace: TraceBundle, points: np.ndarray) -> set[tuple[int, int]]:
-    """Image pixels of the patch x patch blocks of stage-0 ``points``."""
-    p = trace.patch
-    r, c = np.divmod(points, trace.stage_hw[0][1])
-    dr, dc = np.divmod(np.arange(p * p), p)
-    rows = (r[:, None] * p + dr).ravel()
-    cols = (c[:, None] * p + dc).ravel()
-    return set(zip(rows.tolist(), cols.tolist()))
-
-
-def receptive_field(trace: TraceBundle, stage: int, point: int) -> set[tuple[int, int]]:
+def receptive_field(trace: TraceBundle, stage: int, point: int) -> np.ndarray:
     """Image pixels feeding feature point ``point`` of ``stage`` (0-based).
 
     ``point`` is the flat row-major index into the stage map. The result is
-    the union of the patch blocks of the stage-0 points that the composed
-    owner map sends to ``point``.
+    the patch blocks of the stage-0 points that the composed owner map
+    sends to ``point``, as ascending flat pixel indices.
     """
     if not 0 <= stage < len(trace.stage_hw):
         raise ValueError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
     hh, ww = trace.stage_hw[stage]
     if not 0 <= point < hh * ww:
         raise ValueError(f"point {point} out of range for a {hh}x{ww} map")
-    return _patch_pixels(trace, np.flatnonzero(_stage_owner(trace, stage) == point))
+    return np.flatnonzero(_pixel_labels(trace, stage) == point)
 
 
 def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
-                            head: int, block: int = 0) -> set[tuple[int, int]]:
+                            head: int, block: int = 0) -> np.ndarray:
     """Image pixels feeding the points of ``stage`` assigned to ``cluster``.
 
-    Selects the stage-0 points whose composed owner has column ``cluster``
-    under ``head``. An empty cluster yields an empty set.
+    The patch blocks of the stage-0 points whose composed owner has column
+    ``cluster`` under ``head``, as ascending flat indices (empty if none).
     """
     if not 0 <= stage < len(trace.stage_hw):
         raise ValueError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
@@ -98,7 +88,7 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     cols = st.assignment.cols[head]
     if not 0 <= cluster < st.assignment.m:
         raise ValueError(f"cluster {cluster} out of range [0,{st.assignment.m})")
-    return _patch_pixels(trace, np.flatnonzero(cols[_stage_owner(trace, stage)] == cluster))
+    return np.flatnonzero(cols[_pixel_labels(trace, stage)] == cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +97,8 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel groups in order of first appearance (stable, readable ids)."""
-    remap: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for i, lab in enumerate(labels):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[i] = remap[lab]
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first)).astype(np.int64)[inverse]
 
 
 def kmeans_merge(centers: np.ndarray, k: int, iters: int = 100,
@@ -226,12 +211,13 @@ def read_ppm(path) -> np.ndarray:
     return pixels.reshape(h, w, 3)
 
 
-def render_overlay(image: np.ndarray, pixel_sets: list[set[tuple[int, int]]],
-                   spec: OverlaySpec, out_path) -> np.ndarray:
+def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
+                   out_path) -> np.ndarray:
     """Alpha-blend one color per pixel set over the image; write PPM.
 
-    ``image`` is (H, W, 3) in [0,1] float or uint8. Returns the rendered
-    uint8 array (also written to ``out_path``).
+    ``image`` is (H, W, 3) in [0,1] float or uint8. A pixel set is an integer
+    array or a set of ints, each a flat index ``r * W + c``; a later set wins
+    where two overlap. Returns the rendered uint8 array (also written to ``out_path``).
     """
     if len(spec.palette) < len(pixel_sets):
         raise ValueError(f"palette has {len(spec.palette)} colors for {len(pixel_sets)} sets")
@@ -245,14 +231,17 @@ def render_overlay(image: np.ndarray, pixel_sets: list[set[tuple[int, int]]],
     hh, ww = base.shape[:2]
     out = base.copy()
     label = np.full((hh, ww), -1, dtype=np.int64)
+    flat_base, flat_out, flat_label = base.reshape(-1, 3), out.reshape(-1, 3), label.reshape(-1)
+    colors = np.array(spec.palette[:len(pixel_sets)], dtype=np.float64).reshape(-1, 3) / 255.0
     for idx, pset in enumerate(pixel_sets):
-        color = np.array(spec.palette[idx], dtype=np.float64) / 255.0
-        r, c = np.array(list(pset), dtype=np.int64).reshape(-1, 2).T
-        bad = np.flatnonzero((r < 0) | (r >= hh) | (c < 0) | (c >= ww))
+        pix = pset if isinstance(pset, np.ndarray) else np.array(list(pset), dtype=np.int64)
+        if pix.ndim != 1 or pix.dtype.kind not in "iu":
+            raise ValueError(f"pixel set {idx} is not a list of flat pixel indices")
+        bad = np.flatnonzero((pix < 0) | (pix >= hh * ww))
         if bad.size:
-            raise ValueError(f"pixel ({r[bad[0]]},{c[bad[0]]}) outside {hh}x{ww} image")
-        out[r, c] = (1.0 - spec.alpha) * base[r, c] + spec.alpha * color
-        label[r, c] = idx
+            raise ValueError(f"pixel {pix[bad[0]]} outside {hh}x{ww} image")
+        flat_out[pix] = (1.0 - spec.alpha) * flat_base[pix] + spec.alpha * colors[idx]
+        flat_label[pix] = idx
     if spec.outline:
         # a labelled pixel with a differently labelled 4-neighbour takes its own color
         edge = np.zeros((hh, ww), dtype=bool)
@@ -263,7 +252,6 @@ def render_overlay(image: np.ndarray, pixel_sets: list[set[tuple[int, int]]],
         edge[:, :-1] |= edge_c
         edge[:, 1:] |= edge_c
         edge &= label >= 0
-        colors = np.array(spec.palette[:len(pixel_sets)], dtype=np.float64).reshape(-1, 3) / 255.0
         out[edge] = colors[label[edge]]
     rendered = np.clip(np.rint(out * 255.0), 0, 255).astype(np.uint8)
     write_ppm(out_path, rendered)

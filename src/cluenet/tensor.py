@@ -212,9 +212,10 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     return y, backward
 
 
-def _pool_windows(size_in: int, size_out: int):
-    """Floor-based tiling: window i covers [i*H//h, (i+1)*H//h)."""
-    return [(i * size_in // size_out, (i + 1) * size_in // size_out) for i in range(size_out)]
+def _pool_matrix(size_in: int, size_out: int, dtype) -> np.ndarray:
+    """(size_out, size_in) 0/1 matrix of the floor tiling: window i is [i*H//h, (i+1)*H//h)."""
+    i, r = np.arange(size_out)[:, None], np.arange(size_in)
+    return ((i * size_in // size_out <= r) & (r < (i + 1) * size_in // size_out)).astype(dtype)
 
 
 def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
@@ -222,20 +223,14 @@ def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
     b, hh, ww, c = map_shape(x, "adaptive_avg_pool2d")
     if not (1 <= h <= hh and 1 <= w <= ww):
         raise DimensionError(f"adaptive_avg_pool2d: target ({h},{w}) exceeds source ({hh},{ww})")
-    rows = _pool_windows(hh, h)
-    cols = _pool_windows(ww, w)
-    y = np.empty((b, h, w, c), dtype=x.dtype)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            y[:, i, j] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
+    ph, pw = _pool_matrix(hh, h, x.dtype), _pool_matrix(ww, w, x.dtype)
+    area = (ph.sum(axis=1)[:, None] * pw.sum(axis=1))[..., None]     # (h, w, 1)
+    rows = (ph @ x.reshape(b, hh, ww * c)).reshape(b * h, ww, c)
+    y = (pw @ rows).reshape(b, h, w, c) / area
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dx = np.zeros_like(x)
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                area = (r1 - r0) * (c1 - c0)
-                dx[:, r0:r1, c0:c1] += dy[:, i:i + 1, j:j + 1] / area
-        return dx
+        g = (pw.T @ (dy / area).reshape(b * h, w, c)).reshape(b, h, ww * c)
+        return (ph.T @ g).reshape(b, hh, ww, c)
 
     return y, backward
 

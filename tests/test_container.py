@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluenet import container as C
 from cluenet.errors import FormatError
@@ -118,3 +120,64 @@ def test_text_hash_detects_tamper():
     arr[-1] ^= 0xFF
     with pytest.raises(FormatError):
         C.unpack_text(arr)
+
+
+def test_corrupt_rank_raises_format_error(tmp_path):
+    path = tmp_path / "t.clue"
+    C.write_container(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                             "s": np.float64(2.0), "i": np.array([1, 2], dtype=np.int32)})
+    raw = bytearray(path.read_bytes())
+    # rank of "w": magic(4) + version(4) + count(4) + namelen(2) + name(1) + code(1)
+    assert raw[16] == 2
+    raw[16] = 14      # its dims run into the payload and include a 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        C.read_container(path)
+
+
+# ---------------------------------------------------------------------------
+# corruption fuzzing: the format has no checksum, so a flipped payload byte
+# can read back as different values; the contract is only that damage never
+# escapes as anything but FormatError
+# ---------------------------------------------------------------------------
+
+FIVE_ENTRIES = {
+    "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+    "s": np.asarray(2.0, dtype=np.float64),
+    "i": np.array([1, 2], dtype=np.int32),
+    "empty": np.zeros((0, 3), dtype=np.float32),
+    "bytes": np.arange(5, dtype=np.uint8),
+}
+
+
+@pytest.fixture(scope="module")
+def five_entry_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "five.clue"
+    C.write_container(path, FIVE_ENTRIES)
+    return path, path.read_bytes()
+
+
+def test_every_truncation_raises_format_error(five_entry_file):
+    path, raw = five_entry_file
+    damaged = path.with_name("truncated.clue")
+    for n in range(len(raw)):
+        damaged.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            C.read_container(damaged)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_byte_flips_raise_format_error_or_read(five_entry_file, data):
+    path, raw = five_entry_file
+    flipped = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 2), label="flips")):
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flipped[at] ^= data.draw(st.integers(1, 255), label="xor")
+    damaged = path.with_name("flipped.clue")
+    damaged.write_bytes(bytes(flipped))
+    try:
+        out = C.read_container(damaged)
+    except FormatError:
+        return
+    assert isinstance(out, dict) and all(isinstance(v, np.ndarray) for v in out.values())

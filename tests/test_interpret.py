@@ -89,10 +89,18 @@ def _random_trace(seed):
                                  stage_hw=list(STAGE_HW), states=states, pools=pools)
 
 
-def _assert_partition(trace, sets):
+def _pixels(trace, field):
+    """The (row, col) set of a flat receptive field, which must be a 1-D
+    strictly ascending integer array."""
+    assert field.ndim == 1 and field.dtype.kind in "iu"
+    assert np.all(np.diff(field) > 0)
+    w = trace.image_hw[1]
+    return {(int(i) // w, int(i) % w) for i in field}
+
+
+def _assert_partition(trace, fields):
     h, w = trace.image_hw
-    assert sum(len(s) for s in sets) == h * w
-    assert set().union(*sets) == {(r, c) for r in range(h) for c in range(w)}
+    np.testing.assert_array_equal(np.sort(np.concatenate(fields)), np.arange(h * w))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -100,8 +108,8 @@ def test_receptive_field_matches_oracle_and_partitions(seed):
     trace = _random_trace(seed)
     for stage, (hh, ww) in enumerate(STAGE_HW):
         fields = [interpret.receptive_field(trace, stage, p) for p in range(hh * ww)]
-        assert fields == [receptive_field_oracle(trace, stage, p) for p in range(hh * ww)]
-        assert all(type(v) is int for f in fields for px in f for v in px)
+        assert [_pixels(trace, f) for f in fields] == \
+            [receptive_field_oracle(trace, stage, p) for p in range(hh * ww)]
         _assert_partition(trace, fields)
 
 
@@ -112,16 +120,17 @@ def test_cluster_receptive_field_matches_oracle_and_partitions(seed):
         for head in range(HEADS):
             fields = [interpret.cluster_receptive_field(trace, stage, c, head)
                       for c in range(st.assignment.m)]
-            assert fields == [cluster_receptive_field_oracle(trace, stage, c, head)
-                              for c in range(st.assignment.m)]
-            assert fields[-1] == set()
+            assert [_pixels(trace, f) for f in fields] == \
+                [cluster_receptive_field_oracle(trace, stage, c, head)
+                 for c in range(st.assignment.m)]
+            assert fields[-1].size == 0
             _assert_partition(trace, fields)
 
 
 def test_receptive_field_of_empty_pool_cluster_is_empty():
     trace = _random_trace(0)
     hh, ww = STAGE_HW[1]
-    assert interpret.receptive_field(trace, 1, hh * ww - 1) == set()
+    assert interpret.receptive_field(trace, 1, hh * ww - 1).size == 0
 
 
 @pytest.mark.parametrize("stage", [-1, 3, 5])
@@ -173,10 +182,18 @@ def render_overlay_oracle(image, pixel_sets, spec):
 
 
 def _overlapping_sets():
-    return [{(r, c) for r in range(1, 6) for c in range(0, 5)},
-            {(r, c) for r in range(3, 8) for c in range(2, 8)},   # overlaps set 0
-            {(0, 7), (7, 0)},
-            set()]
+    """Flat pixel sets on an 8x8 image; set 2 is a set of ints, as a union
+    of receptive fields builds it."""
+    grid = np.arange(64).reshape(8, 8)
+    return [grid[1:6, 0:5].ravel(),
+            grid[3:8, 2:8].ravel(),                               # overlaps set 0
+            {7, 56},
+            np.empty(0, dtype=np.int64)]
+
+
+def _row_col_sets(sets):
+    """The same sets as (row, col) tuples, for the oracle."""
+    return [{divmod(int(i), 8) for i in s} for s in sets]
 
 
 @pytest.mark.parametrize("outline", [False, True])
@@ -190,7 +207,7 @@ def test_render_overlay_matches_per_pixel_oracle(tmp_path, outline, as_uint8):
                                  alpha=0.37, outline=outline)
     path = tmp_path / "o.ppm"
     got = interpret.render_overlay(image, sets, spec, path)
-    want = render_overlay_oracle(image, sets, spec)
+    want = render_overlay_oracle(image, _row_col_sets(sets), spec)
     assert got.tobytes() == want.tobytes()
     assert interpret.read_ppm(path).tobytes() == want.tobytes()
     # the later set wins where two overlap
@@ -200,17 +217,24 @@ def test_render_overlay_matches_per_pixel_oracle(tmp_path, outline, as_uint8):
 
 def test_render_overlay_accepts_only_empty_sets(tmp_path):
     image = np.full((8, 8, 3), 0.25)
-    got = interpret.render_overlay(image, [set(), set()], interpret.OverlaySpec(),
-                                   tmp_path / "o.ppm")
+    got = interpret.render_overlay(image, [set(), np.empty(0, dtype=np.int64)],
+                                   interpret.OverlaySpec(), tmp_path / "o.ppm")
     assert got.tobytes() == np.full((8, 8, 3), 64, dtype=np.uint8).tobytes()
 
 
-@pytest.mark.parametrize("pixel", [(9, 0), (-1, 2), (3, 8), (0, -1)])
+@pytest.mark.parametrize("pixel", [-1, 64, 100])
 def test_render_overlay_rejects_out_of_bounds_pixel(tmp_path, pixel):
-    sets = [{(0, 0), (1, 1)}, {(2, 2), pixel}]
-    with pytest.raises(ValueError, match=rf"pixel \({pixel[0]},{pixel[1]}\) outside 8x8"):
+    sets = [np.array([0, 9]), np.array([18, pixel])]
+    with pytest.raises(ValueError, match=rf"pixel {pixel} outside 8x8"):
         interpret.render_overlay(np.zeros((8, 8, 3)), sets, interpret.OverlaySpec(),
                                  tmp_path / "o.ppm")
+    assert not (tmp_path / "o.ppm").exists()
+
+
+def test_render_overlay_rejects_row_col_tuples(tmp_path):
+    with pytest.raises(ValueError, match="flat pixel indices"):
+        interpret.render_overlay(np.zeros((8, 8, 3)), [{(0, 0), (1, 1)}],
+                                 interpret.OverlaySpec(), tmp_path / "o.ppm")
     assert not (tmp_path / "o.ppm").exists()
 
 
@@ -227,6 +251,24 @@ def test_kmeans_k_equals_m_is_identity(m):
 def test_kmeans_k_one_is_all_zeros():
     centers = np.random.default_rng(0).standard_normal((7, 3))
     np.testing.assert_array_equal(interpret.kmeans_merge(centers, k=1), np.zeros(7))
+
+
+def canonical_labels_oracle(labels):
+    """Relabel one element at a time, in order of first appearance."""
+    remap = {}
+    return np.array([remap.setdefault(lab, len(remap)) for lab in labels.tolist()],
+                    dtype=np.int64)
+
+
+def test_canonical_labels_number_groups_by_first_appearance():
+    np.testing.assert_array_equal(
+        interpret._canonical_labels(np.array([3, 3, 0, 2, 0, 5, 3])), [0, 0, 1, 2, 1, 3, 0])
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        labels = rng.integers(0, rng.integers(1, 50), rng.integers(1, 60))
+        got = interpret._canonical_labels(labels)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, canonical_labels_oracle(labels))
 
 
 @pytest.mark.parametrize("k", [0, -1, 6])

@@ -142,12 +142,47 @@ def test_pool_target_too_large():
         T.adaptive_avg_pool2d(np.zeros((1, 2, 2, 1)), 3, 1)
 
 
+def adaptive_pool_oracle(x, h, w, dy):
+    """Per-window loops over the floor tiling: the mean of each window, and
+    dy / area spread back over it."""
+    hh, ww = x.shape[1:3]
+    y = np.empty((x.shape[0], h, w, x.shape[3]), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for i in range(h):
+        r0, r1 = i * hh // h, (i + 1) * hh // h
+        for j in range(w):
+            c0, c1 = j * ww // w, (j + 1) * ww // w
+            y[:, i, j] = x[:, r0:r1, c0:c1].mean(axis=(1, 2))
+            dx[:, r0:r1, c0:c1] += dy[:, i:i + 1, j:j + 1] / ((r1 - r0) * (c1 - c0))
+    return y, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_matches_window_loop_oracle(dtype):
+    rng = np.random.default_rng(8)
+    for hh, ww, h, w in [(7, 10, 3, 4), (28, 28, 14, 7), (13, 5, 5, 5), (8, 8, 1, 1)]:
+        x = rng.normal(size=(2, hh, ww, 3)).astype(dtype)
+        dy = rng.normal(size=(2, h, w, 3)).astype(dtype)
+        y, back = T.adaptive_avg_pool2d(x, h, w)
+        want_y, want_dx = adaptive_pool_oracle(x, h, w, dy)
+        # matmuls sum each window in another order than mean(): a few ulps
+        atol = 8 * np.finfo(dtype).eps * np.abs(x).max()
+        np.testing.assert_allclose(y, want_y, rtol=0, atol=atol)
+        # each input cell receives exactly one dy / area term
+        np.testing.assert_array_equal(back(dy), want_dx)
+
+
 def test_pool_windows_partition_input():
-    # Every input cell contributes to exactly one output cell.
+    # Every input cell contributes to exactly one output cell, and window i
+    # is the contiguous run [i*H//h, (i+1)*H//h).
     for size_in, size_out in [(7, 3), (10, 4), (5, 5), (8, 1)]:
-        wins = T._pool_windows(size_in, size_out)
-        covered = [i for (r0, r1) in wins for i in range(r0, r1)]
-        assert covered == list(range(size_in))
+        m = T._pool_matrix(size_in, size_out, np.float64)
+        assert m.shape == (size_out, size_in)
+        assert set(np.unique(m)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(m.sum(axis=0), np.ones(size_in))
+        want = [i for i in range(size_out)
+                for _ in range(i * size_in // size_out, (i + 1) * size_in // size_out)]
+        assert m.argmax(axis=0).tolist() == want
 
 
 # ---------------------------------------------------------------------------
