@@ -199,7 +199,7 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
     backward(d_out) -> (d_p, d_weights, d_centers_h); fc_out/b_out gradients
     accumulate in place.
     """
-    bsz, heads, m, dh = centers_h.shape
+    heads, m = centers_h.shape[1:3]
     if int(assign.cols.max(initial=0)) >= m:
         raise RuntimeError(f"assignment references center {int(assign.cols.max())} of {m}")
     idx = assign.cols.astype(np.intp)[..., None]
@@ -213,11 +213,9 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
         d_msg_h = split_heads(back_lin(d_out), heads)
         d_weights = (d_msg_h * sel).sum(axis=-1)
         d_sel = d_msg_h * assign.weights[..., None]
-        flat = np.zeros((bsz * heads * m, dh), dtype=centers_h.dtype)
-        offsets = (np.arange(bsz * heads) * m)[:, None]
-        rows = (assign.cols.reshape(bsz * heads, -1) + offsets).ravel()
-        np.add.at(flat, rows, d_sel.reshape(-1, dh))
-        return d_out, d_weights, flat.reshape(centers_h.shape)
+        onehot = assign.cols[..., None] == np.arange(m)                # (B, M, n, m) bool
+        d_centers = np.swapaxes(onehot, -1, -2) @ d_sel
+        return d_out, d_weights, d_centers.astype(centers_h.dtype, copy=False)
 
     return out, backward
 

@@ -81,28 +81,20 @@ def _pool_means(vectors: np.ndarray, owner: np.ndarray, seeds: np.ndarray):
     """Per-cluster mean of member vectors; empty clusters keep their seed.
 
     vectors/seeds are (B, n, c) and (B, m, c); owner is (B, n). Returns
-    (pooled, counts, backward) where backward(d_pooled) -> (d_vectors,
-    d_seeds)."""
-    bsz, n, c = vectors.shape
-    m = seeds.shape[1]
-    offsets = (np.arange(bsz) * m)[:, None]
-    rows = (owner + offsets).ravel()
-    sums = np.zeros((bsz * m, c), dtype=vectors.dtype)
-    np.add.at(sums, rows, vectors.reshape(-1, c))
-    counts = np.bincount(rows, minlength=bsz * m).reshape(bsz, m)
-    sums = sums.reshape(bsz, m, c)
+    (pooled, backward) where backward(d_pooled) -> (d_vectors, d_seeds)."""
+    onehot = owner[..., None] == np.arange(seeds.shape[1])          # (B, n, m) bool
+    # int64 counts promote float32 means to float64 (a known defect)
+    counts = onehot.sum(axis=1)
     empty = counts == 0
     denom = np.maximum(counts, 1)[..., None]
-    pooled = np.where(empty[..., None], seeds, sums / denom)
+    pooled = np.where(empty[..., None], seeds, np.swapaxes(onehot, 1, 2) @ vectors / denom)
 
     def backward(d_pooled: np.ndarray):
         d_members = np.where(empty[..., None], 0.0, d_pooled / denom)
-        d_vectors = np.take_along_axis(
-            d_members.reshape(bsz, m, c), owner[..., None].astype(np.intp), axis=1)
         d_seeds = np.where(empty[..., None], d_pooled, 0.0)
-        return d_vectors, d_seeds
+        return onehot @ d_members, d_seeds
 
-    return pooled, counts, backward
+    return pooled, backward
 
 
 def icp_forward(x: np.ndarray, p: IcpParams):
@@ -127,7 +119,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     seeds = seeds_map.reshape(bsz, m, p.d_in)
     s_flat = s_map.reshape(bsz, n, p.d_in)
     owner = _partition(s_flat, seeds)
-    pooled, _, back_means = _pool_means(s_flat, owner, seeds)
+    pooled, back_means = _pool_means(s_flat, owner, seeds)
     out_flat, back_projv = T.mlp2(pooled, p.proj_v)
     out = out_flat.reshape(bsz, h2, w2, p.d_out)
     assign = PoolAssignment(owner=owner, m=m, grid_hw=(h2, w2))

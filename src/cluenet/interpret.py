@@ -11,6 +11,7 @@ groups for readable maps, and the renderer writes binary PPM images.
 
 from __future__ import annotations
 
+import colorsys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,17 +163,9 @@ def default_palette(count: int) -> list[tuple[int, int, int]]:
     i = 0
     while len(out) < count:
         h = (i * 0.6180339887498949) % 1.0       # golden-ratio hue steps
-        out.append(_hsv_byte(h, 0.85, 0.95))
+        out.append(tuple(int(ch * 255) for ch in colorsys.hsv_to_rgb(h, 0.85, 0.95)))
         i += 1
     return out[:count]
-
-
-def _hsv_byte(h: float, s: float, v: float) -> tuple[int, int, int]:
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - f * s), v * (1 - (1 - f) * s)
-    r, g, b = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return int(r * 255), int(g * 255), int(b * 255)
 
 
 @dataclass

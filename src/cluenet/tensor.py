@@ -181,9 +181,10 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     """Depth-wise 2D convolution, zero padding, output spatial size preserved.
 
     ``x`` is (B, H, W, C); ``kernel`` is (k, k, C) with odd k. Channels
-    never mix.
+    never mix. The input gradient is the same convolution of ``dy`` with
+    the kernel flipped in both spatial axes, ``kernel[::-1, ::-1]``.
     """
-    b, h, w_, c = map_shape(x, "dwconv2d")
+    _, h, w_, c = map_shape(x, "dwconv2d")
     k = kernel.value.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"dwconv2d kernel size must be odd, got {k}")
@@ -191,23 +192,19 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
         raise ConfigError("dwconv2d kernel must be square")
     if c != kernel.value.shape[2]:
         raise DimensionError(f"dwconv2d: channels {c} != kernel channels {kernel.value.shape[2]}")
-    pad = k // 2
-    xp = np.zeros((b, h + 2 * pad, w_ + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w_, :] = x
-    y = np.zeros_like(x)
-    for u in range(k):
-        for v in range(k):
-            y += xp[:, u:u + h, v:v + w_, :] * kernel.value[u, v]
+    pad = ((0, 0), (k // 2, k // 2), (k // 2, k // 2), (0, 0))
+
+    def taps(a: np.ndarray) -> np.ndarray:
+        """(B, k, k, C, H, W) view: taps(a)[:, u, v] is ``a`` shifted by tap (u, v)."""
+        return np.lib.stride_tricks.sliding_window_view(np.pad(a, pad), (h, w_), axis=(1, 2))
+
+    x_taps = taps(x)
+    y = np.einsum("buvchw,uvc->bhwc", x_taps, kernel.value)
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dk = np.empty_like(kernel.value)
-        dxp = np.zeros_like(xp)
-        for u in range(k):
-            for v in range(k):
-                dk[u, v] = (dy * xp[:, u:u + h, v:v + w_, :]).sum(axis=(0, 1, 2))
-                dxp[:, u:u + h, v:v + w_, :] += dy * kernel.value[u, v]
-        kernel.add_grad(dk)
-        return dxp[:, pad:pad + h, pad:pad + w_, :]
+        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", x_taps, dy))
+        dx = np.einsum("buvchw,uvc->bhwc", taps(dy), kernel.value[::-1, ::-1])
+        return dx.astype(x_taps.dtype, copy=False)     # x_taps: the closure keeps no x
 
     return y, backward
 

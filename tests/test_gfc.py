@@ -379,6 +379,39 @@ def test_dispatch_grad_matches_fd():
     assert report.passed, str(report)
 
 
+def dispatch_scatter_oracle(cols, d_sel, m, dtype):
+    """d_centers of dispatch by np.add.at into a zeroed (B, M, m, dh) buffer of ``dtype``."""
+    bsz, heads, _, dh = d_sel.shape
+    flat = np.zeros((bsz * heads * m, dh), dtype=dtype)
+    rows = (cols.reshape(bsz * heads, -1) + (np.arange(bsz * heads) * m)[:, None]).ravel()
+    np.add.at(flat, rows, d_sel.reshape(-1, dh))
+    return flat.reshape(bsz, heads, m, dh)
+
+
+def test_dispatch_center_gradient_matches_scatter_oracle():
+    # The model's first stage: float32 centers, float64 gradient from the
+    # stages after the float64-promoting pool.
+    rng = np.random.default_rng(23)
+    bsz, heads, n, m, dh = 2, 2, 40, 5, 3
+    centers = rng.normal(size=(bsz, heads, m, dh)).astype(np.float32)
+    cols = rng.integers(0, m - 1, size=(bsz, heads, n)).astype(np.int32)   # center m-1 empty
+    weights = rng.uniform(0.2, 0.8, size=cols.shape).astype(np.float32)
+    fc = T.Parameter("fc", np.eye(heads * dh, dtype=np.float32))
+    b = T.Parameter("b", np.zeros(heads * dh, dtype=np.float32))
+    p = rng.normal(size=(bsz, n, heads * dh)).astype(np.float32)
+    out, back = gfc.dispatch(p, gfc.HardAssignment(cols, weights, m=m), centers, fc, b)
+    d_out = rng.normal(size=out.shape)
+    _, _, d_centers = back(d_out)
+
+    d_sel = gfc.split_heads(d_out, heads) * weights[..., None]
+    want = dispatch_scatter_oracle(cols, d_sel, m, np.float32)
+    # np.add.at rounds to float32 after each of at most n additions
+    bound = n * np.finfo(np.float32).eps * dispatch_scatter_oracle(cols, np.abs(d_sel), m, F64)
+    assert d_centers.dtype == np.float32
+    assert np.all(np.abs(d_centers - want) <= bound)
+    assert np.all(d_centers[:, :, m - 1] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # full block
 # ---------------------------------------------------------------------------

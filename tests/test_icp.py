@@ -59,8 +59,8 @@ def fec_pool_oracle(x, p):
     owner = icp._partition(s_map.reshape(bsz, n, d), seeds_map.reshape(bsz, m, d))
 
     raw_seeds_map, back_raw_pool = T.adaptive_avg_pool2d(xn, h2, w2)
-    pooled, _, back_means = icp._pool_means(xn.reshape(bsz, n, d), owner,
-                                            raw_seeds_map.reshape(bsz, m, d))
+    pooled, back_means = icp._pool_means(xn.reshape(bsz, n, d), owner,
+                                         raw_seeds_map.reshape(bsz, m, d))
     out_flat, back_projv = T.mlp2(pooled, p.proj_v)
     out = out_flat.reshape(bsz, h2, w2, p.d_out)
 
@@ -71,6 +71,27 @@ def fec_pool_oracle(x, p):
         return back_norm(d_xn)
 
     return out, icp.PoolAssignment(owner=owner, m=m, grid_hw=(h2, w2)), backward
+
+
+def pool_means_oracle(vectors, owner, seeds):
+    """icp._pool_means by np.add.at sums, np.bincount counts and a
+    take_along_axis gather in backward."""
+    bsz, n, c = vectors.shape
+    m = seeds.shape[1]
+    rows = (owner + (np.arange(bsz) * m)[:, None]).ravel()
+    sums = np.zeros((bsz * m, c), dtype=vectors.dtype)
+    np.add.at(sums, rows, vectors.reshape(-1, c))
+    counts = np.bincount(rows, minlength=bsz * m).reshape(bsz, m)
+    empty = counts == 0
+    denom = np.maximum(counts, 1)[..., None]
+    pooled = np.where(empty[..., None], seeds, sums.reshape(bsz, m, c) / denom)
+
+    def backward(d_pooled):
+        d_members = np.where(empty[..., None], 0.0, d_pooled / denom)
+        d_vectors = np.take_along_axis(d_members, owner[..., None].astype(np.intp), axis=1)
+        return d_vectors, np.where(empty[..., None], d_pooled, 0.0)
+
+    return pooled, backward
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +140,30 @@ def test_quadrant_codes_recover_quadrant_partition():
     for c, (r0, c0) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
         member_mean = sn[r0:r0 + 2, c0:c0 + 2].reshape(4, d).mean(axis=0)
         np.testing.assert_allclose(out.reshape(4, d)[c], project(p, member_mean), rtol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_pool_means_match_scatter_oracle(dtype):
+    rng = np.random.default_rng(31)
+    bsz, n, m, c = 2, 30, 6, 4
+    vectors = rng.normal(size=(bsz, n, c)).astype(dtype)
+    seeds = rng.normal(size=(bsz, m, c)).astype(dtype)
+    owner = rng.integers(0, m, size=(bsz, n)).astype(np.int32)
+    owner[owner == 3] = 2                                   # cluster 3 is empty
+    pooled, back = icp._pool_means(vectors, owner, seeds)
+    want, back_want = pool_means_oracle(vectors, owner, seeds)
+
+    # int64 counts promote float32 means to float64: the strict xfail
+    # test_float32_is_kept[icp] in test_properties.py
+    assert pooled.dtype == F64
+    # each mean divides a sum of at most n members accumulated in ``dtype``
+    atol = 2 * n * np.finfo(dtype).eps * np.abs(vectors).max()
+    np.testing.assert_allclose(pooled, want, rtol=0, atol=atol)
+    np.testing.assert_array_equal(pooled[:, 3], seeds[:, 3])
+    d_pooled = rng.normal(size=(bsz, m, c))
+    for got, exp in zip(back(d_pooled), back_want(d_pooled)):
+        assert got.dtype == exp.dtype
+        np.testing.assert_array_equal(got, exp)
 
 
 def test_odd_extent_rejected():

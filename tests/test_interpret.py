@@ -238,6 +238,22 @@ def test_render_overlay_rejects_row_col_tuples(tmp_path):
     assert not (tmp_path / "o.ppm").exists()
 
 
+def hsv_byte_oracle(h, s, v):
+    """Hand-written HSV -> RGB byte conversion, the reference for default_palette."""
+    i = int(h * 6.0) % 6
+    f = h * 6.0 - int(h * 6.0)
+    p, q, t = v * (1 - s), v * (1 - f * s), v * (1 - (1 - f) * s)
+    r, g, b = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
+    return int(r * 255), int(g * 255), int(b * 255)
+
+
+def test_default_palette_matches_hsv_oracle():
+    want = list(interpret._BASE_PALETTE)
+    want += [hsv_byte_oracle((i * 0.6180339887498949) % 1.0, 0.85, 0.95)
+             for i in range(500 - len(want))]
+    assert interpret.default_palette(500) == want
+
+
 # ---------------------------------------------------------------------------
 # K-Means merging
 # ---------------------------------------------------------------------------

@@ -113,6 +113,42 @@ def test_dwconv_even_kernel_rejected():
         T.dwconv2d(np.zeros((1, 4, 4, 1)), param("k", np.zeros((2, 2, 1))))
 
 
+def dwconv_loop_oracle(x, kernel, dy):
+    """(y, dk, dx) of dwconv2d by one pass per kernel tap over a zero-padded copy."""
+    b, h, w, c = x.shape
+    k = kernel.shape[0]
+    pad = k // 2
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w, :] = x
+    y = np.zeros_like(x)
+    dk = np.empty_like(kernel)
+    dxp = np.zeros_like(xp)
+    for u in range(k):
+        for v in range(k):
+            y += xp[:, u:u + h, v:v + w, :] * kernel[u, v]
+            dk[u, v] = (dy * xp[:, u:u + h, v:v + w, :]).sum(axis=(0, 1, 2))
+            dxp[:, u:u + h, v:v + w, :] += dy * kernel[u, v]
+    return y, dk, dxp[:, pad:pad + h, pad:pad + w, :]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_dwconv_matches_tap_loop_oracle(k, dtype):
+    # k = 5 is wider than the 2-row map: some taps see only padding
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=(2, 2, 5, 3)).astype(dtype)
+    dy = rng.normal(size=x.shape).astype(dtype)
+    kernel = T.Parameter("k", rng.normal(size=(k, k, 3)).astype(dtype))
+    y, back = T.dwconv2d(x, kernel)
+    dx = back(dy)
+    eps = np.finfo(dtype).eps
+    for got, want in zip((y, kernel.grad, dx), dwconv_loop_oracle(x, kernel.value, dy)):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * eps * np.abs(want).max())
+    flipped, _ = T.dwconv2d(dy, T.Parameter("flip", kernel.value[::-1, ::-1]))
+    np.testing.assert_array_equal(dx, flipped)
+
+
 # ---------------------------------------------------------------------------
 # adaptive_avg_pool2d
 # ---------------------------------------------------------------------------
