@@ -200,8 +200,9 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
     accumulate in place.
     """
     heads, m = centers_h.shape[1:3]
-    if int(assign.cols.max(initial=0)) >= m:
-        raise RuntimeError(f"assignment references center {int(assign.cols.max())} of {m}")
+    lo, hi = int(assign.cols.min(initial=0)), int(assign.cols.max(initial=0))
+    if lo < 0 or hi >= m:
+        raise RuntimeError(f"assignment references center {lo if lo < 0 else hi} of {m}")
     idx = assign.cols.astype(np.intp)[..., None]
     sel = np.take_along_axis(centers_h, idx, axis=2)          # (B, M, n, dh)
     msg_h = assign.weights[..., None] * sel

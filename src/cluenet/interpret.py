@@ -12,6 +12,7 @@ groups for readable maps, and the renderer writes binary PPM images.
 from __future__ import annotations
 
 import colorsys
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,39 +282,55 @@ def write_trace(path, trace: TraceBundle) -> None:
 
 
 def read_trace(path) -> TraceBundle:
-    """Inverse of write_trace."""
+    """Inverse of write_trace. Raises FormatError when an entry is missing or
+    does not fit the maps it indexes: the image is stage 1's map times the
+    patch, a pool sends its stage into the next stage's map, and a block's
+    cols and weights are (heads, n) with cols in [0, m)."""
     entries = C.read_container(path)
 
-    def need(key):
+    def need(key, shape=None, below=np.inf):
+        """Entry ``key``; given ``shape``, integers of that shape in [0, below)."""
         if key not in entries:
             raise FormatError(f"trace missing entry {key!r}")
-        return entries[key]
+        a = entries[key]
+        if shape is not None and not (a.shape == shape and a.dtype.kind in "iu"
+                                      and np.all((a >= 0) & (a < below))):
+            raise FormatError(f"trace entry {key!r} is not {shape} integers in [0, {below})")
+        return a
 
-    image_hw = tuple(int(v) for v in need("image_hw"))
+    def need_hw(key):
+        return tuple(int(v) for v in need(key, (2,)))
+
+    image_hw = need_hw("image_hw")
     patch = int(need("patch")[0])
     num_stages = int(need("num_stages")[0])
-    stage_hw = [tuple(int(v) for v in need(f"stage{k + 1}/map_hw"))
-                for k in range(num_stages)]
+    stage_hw = [need_hw(f"stage{k + 1}/map_hw") for k in range(num_stages)]
+    if not stage_hw or image_hw != (stage_hw[0][0] * patch, stage_hw[0][1] * patch):
+        raise FormatError(f"trace image {image_hw} is not stage 1's map times patch {patch}")
     states: list[list[ClusterState]] = []
-    for k in range(num_stages):
+    for k, (hh, ww) in enumerate(stage_hw):
         tag = f"stage{k + 1}"
         blocks = []
         for j in range(int(need(f"{tag}/num_blocks")[0])):
             btag = f"{tag}/block{j + 1}"
+            centers = need(f"{btag}/centers")
             cols = need(f"{btag}/assignment/cols")
             weights = need(f"{btag}/assignment/weights")
-            centers = need(f"{btag}/centers")
-            grid = tuple(int(v) for v in need(f"{btag}/grid_hw"))
+            if centers.ndim != 2 or cols.ndim != 2 or weights.shape != cols.shape:
+                raise FormatError(f"trace block {btag!r} centers, cols or weights are misshapen")
+            need(f"{btag}/assignment/cols", (len(cols), hh * ww), len(centers))
             blocks.append(ClusterState(
                 centers_v=centers, soft_sim=None,
-                assignment=HardAssignment(cols, weights, m=centers.shape[0]),
-                heads=cols.shape[0], grid_hw=grid))
+                assignment=HardAssignment(cols, weights, m=len(centers)),
+                heads=len(cols), grid_hw=need_hw(f"{btag}/grid_hw")))
         states.append(blocks)
     pools = []
     for k in range(num_stages - 1):
         tag = f"stage{k + 1}/pool"
-        owner = need(f"{tag}/owner")
-        grid = tuple(int(v) for v in need(f"{tag}/grid_hw"))
-        pools.append(PoolAssignment(owner=owner, m=grid[0] * grid[1], grid_hw=grid))
+        grid = need_hw(f"{tag}/grid_hw")
+        if grid != stage_hw[k + 1]:
+            raise FormatError(f"trace pool {k + 1} grid {grid} is not stage {k + 2}'s map")
+        owner = need(f"{tag}/owner", (math.prod(stage_hw[k]),), math.prod(grid))
+        pools.append(PoolAssignment(owner=owner, m=math.prod(grid), grid_hw=grid))
     return TraceBundle(image_hw=image_hw, patch=patch, stage_hw=stage_hw,
                        states=states, pools=pools)

@@ -280,61 +280,3 @@ def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter, eps: float = 1e
 
     return y.astype(x.dtype, copy=False), backward
 
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    """Result of comparing analytic gradients against central differences."""
-
-    max_rel_err: float
-    worst: tuple[int, int]  # (input index, flat coordinate)
-    passed: bool
-    failure: str | None = None
-
-    def __str__(self):
-        status = "ok" if self.passed else f"FAIL ({self.failure or 'tolerance exceeded'})"
-        return f"max rel err {self.max_rel_err:.3e} at input {self.worst[0]}[{self.worst[1]}]: {status}"
-
-
-def grad_check(f, inputs: list[np.ndarray], step: float = 1e-5, tol: float = 1e-7) -> GradCheckReport:
-    """Check analytic gradients of a scalar-valued closure by central differences.
-
-    ``f(inputs) -> (loss, grads)`` must return the scalar loss and one
-    gradient array per input, computed analytically. All arrays must be
-    float64. Relative error uses a 1e-6 floor on the denominator so that
-    exactly-zero gradients compare by absolute difference.
-    """
-    for i, x in enumerate(inputs):
-        if x.dtype != F64:
-            raise ConfigError(f"grad_check requires float64 inputs; input {i} is {x.dtype}")
-    loss0, grads = f(inputs)
-    if not np.isfinite(loss0):
-        return GradCheckReport(math.inf, (-1, -1), False, failure="non-finite loss")
-    max_rel = 0.0
-    worst = (0, 0)
-    for i, x in enumerate(inputs):
-        g = grads[i]
-        if not np.all(np.isfinite(g)):
-            bad = int(np.flatnonzero(~np.isfinite(g).ravel())[0])
-            return GradCheckReport(math.inf, (i, bad), False,
-                                   failure=f"non-finite analytic gradient at input {i}[{bad}]")
-        flat = x.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            lp, _ = f(inputs)
-            flat[j] = orig - step
-            lm, _ = f(inputs)
-            flat[j] = orig
-            fd = (lp - lm) / (2.0 * step)
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                return GradCheckReport(math.inf, (i, j), False,
-                                       failure=f"non-finite loss while perturbing input {i}[{j}]")
-            an = g.ravel()[j]
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            if rel > max_rel:
-                max_rel, worst = rel, (i, j)
-    return GradCheckReport(max_rel, worst, max_rel <= tol)

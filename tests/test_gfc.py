@@ -9,6 +9,7 @@ import pytest
 from cluenet import gfc
 from cluenet import tensor as T
 from cluenet.errors import ConfigError
+from fd import grad_check
 
 F64 = np.float64
 SIGMOID_1 = 0.7310585786300049  # frozen: 1/(1+exp(-1))
@@ -19,10 +20,10 @@ def param(name, value):
 
 
 def toy_block(rng, d=8, dp=8, heads=2, grid=(2, 2), flags=gfc.BlockFlags(),
-              owns=True, scale=10.0):
+              owns=True, scale=10.0, name="block"):
     """Block params in float64 with inflated weight scale so that projected
     rows sit well above the cosine eps floor during finite differencing."""
-    p = gfc.make_gfc_params(rng, d, dp, heads, grid, flags, owns, dtype=F64)
+    p = gfc.make_gfc_params(rng, d, dp, heads, grid, flags, owns, dtype=F64, name=name)
     for q in p.params():
         if q.value.ndim >= 2:
             q.value = q.value * scale
@@ -112,32 +113,19 @@ def test_aggregate_grad_matches_fd():
     rng = np.random.default_rng(4)
     tau0 = 0.7
     w = rng.normal(size=(3, 4))
-
-    def f(inputs):
-        c, p, v, tau_arr = inputs
-        out, _, back = gfc.soft_aggregate(c, p, v, float(tau_arr[0]))
-        d_c, d_p, d_v, d_tau = back(w)
-        return (out * w).sum(), [d_c, d_p, d_v, np.array([d_tau])]
-
     inputs = [rng.normal(size=(3, 4)) + 1.0, rng.normal(size=(6, 4)) - 1.0,
               rng.normal(size=(6, 4)), np.array([tau0])]
-    report = T.grad_check(f, inputs, tol=1e-6)
-    assert report.passed, str(report)
+    grad_check(lambda c, p, v, tau: gfc.soft_aggregate(c, p, v, float(tau[0])),
+               inputs, w, tol=1e-6)
 
 
 def test_aggregate_dot_grad_matches_fd():
     rng = np.random.default_rng(5)
     w = rng.normal(size=(2, 4))
-
-    def f(inputs):
-        c, p, v = inputs
-        out, _, back = gfc.soft_aggregate(c, p, v, tau=2.0, cosine=False)
-        d_c, d_p, d_v, _ = back(w)
-        return (out * w).sum(), [d_c, d_p, d_v]
-
-    report = T.grad_check(f, [rng.normal(size=(2, 3)), rng.normal(size=(5, 3)),
-                              rng.normal(size=(5, 4))], tol=1e-6)
-    assert report.passed, str(report)
+    inputs = [rng.normal(size=(2, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 4)),
+              np.array([2.0])]
+    grad_check(lambda c, p, v, tau: gfc.soft_aggregate(c, p, v, float(tau[0]), cosine=False),
+               inputs, w, tol=1e-6)
 
 
 def test_aggregate_unit_rows_match_dot_form():
@@ -207,20 +195,9 @@ def test_fuse_grad_matches_fd():
     for q in gate.params():
         q.value = rng.normal(size=q.value.shape)
     w = rng.normal(size=(4, 3))
-
-    def f(inputs):
-        cv, ca = inputs[0], inputs[1]
-        for q, v in zip(gate.params(), inputs[2:]):
-            q.value = v
-            q.grad = None
-        out, back = gfc.gated_fuse(cv, ca, gate)
-        d_cv, d_ca = back(w)
-        return (out * w).sum(), [d_cv, d_ca] + [q.grad for q in gate.params()]
-
-    inputs = ([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
-              + [q.value.copy() for q in gate.params()])
-    report = T.grad_check(f, inputs, tol=1e-6)
-    assert report.passed, str(report)
+    grad_check(lambda cv, ca: gfc.gated_fuse(cv, ca, gate),
+               [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))], w,
+               params=gate.params(), tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +270,18 @@ def test_assignment_scale_invariance():
     np.testing.assert_allclose(a0.weights, a1.weights, rtol=1e-10)
 
 
+def assignment_weights(p_s, q, alpha, beta):
+    """compute_assignment with the kept weights as its output."""
+    assign, back = gfc.compute_assignment(p_s, q, float(alpha[0]), float(beta[0]))
+    return assign.weights, back
+
+
 def test_assignment_grad_matches_fd():
     rng = np.random.default_rng(19)
     w = rng.normal(size=6)
-
-    def f(inputs):
-        p_s, q, ab = inputs
-        assign, back = gfc.compute_assignment(p_s, q, float(ab[0]), float(ab[1]))
-        d_ps, d_q, d_a, d_b = back(w)
-        return (assign.weights * w).sum(), [d_ps, d_q, np.array([d_a, d_b])]
-
     inputs = [rng.normal(size=(6, 4)) + 0.5, rng.normal(size=(3, 4)) - 0.5,
-              np.array([1.1, -0.2])]
-    report = T.grad_check(f, inputs, tol=1e-6)
-    assert report.passed, str(report)
+              np.array([1.1]), np.array([-0.2])]
+    grad_check(assignment_weights, inputs, w, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +325,10 @@ def test_dispatch_shared_center_equal_increments():
     np.testing.assert_allclose(inc[0, 0], inc[0, 1], rtol=1e-12)
 
 
-def test_dispatch_dangling_index():
-    with pytest.raises(RuntimeError):
-        gfc.dispatch(np.zeros((1, 2, 3)), _toy_assignment([[[5, 0]]], [[[0.5, 0.5]]]),
+@pytest.mark.parametrize("col", [5, -1])
+def test_dispatch_dangling_index(col):
+    with pytest.raises(RuntimeError, match=f"center {col} of 2"):
+        gfc.dispatch(np.zeros((1, 2, 3)), _toy_assignment([[[col, 0]]], [[[0.5, 0.5]]]),
                      np.zeros((1, 1, 2, 4)), param("fc", np.zeros((3, 4))),
                      param("b", np.zeros(3)))
 
@@ -363,20 +339,11 @@ def test_dispatch_grad_matches_fd():
     b = param("b", rng.normal(size=3))
     cols = rng.integers(0, 2, size=(1, 2, 5)).astype(np.int32)
     w = rng.normal(size=(1, 5, 3))
-
-    def f(inputs):
-        p, centers, weights, fcv, bv = inputs
-        fc.value, b.value = fcv, bv
-        fc.grad = b.grad = None
-        assign = gfc.HardAssignment(cols, weights, m=2)
-        out, back = gfc.dispatch(p, assign, centers, fc, b)
-        d_p, d_w, d_c = back(w)
-        return (out * w).sum(), [d_p, d_c, d_w, fc.grad, b.grad]
-
-    inputs = [rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 2, 2, 2)),
-              rng.uniform(0.2, 0.8, size=(1, 2, 5)), fc.value.copy(), b.value.copy()]
-    report = T.grad_check(f, inputs, tol=1e-6)
-    assert report.passed, str(report)
+    p, centers = rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 2, 2, 2))
+    weights = rng.uniform(0.2, 0.8, size=(1, 2, 5))
+    grad_check(lambda p, weights, centers: gfc.dispatch(
+                   p, gfc.HardAssignment(cols, weights, m=2), centers, fc, b),
+               [p, weights, centers], w, params=[fc, b], tol=1e-6)
 
 
 def dispatch_scatter_oracle(cols, d_sel, m, dtype):
@@ -502,62 +469,57 @@ def test_block_fa_off_equals_saturated_gate():
     assert st_off.soft_sim is None and st_on.soft_sim is not None
 
 
-def _block_fd(p, x0, tol=1e-4, seed=0):
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=x0.shape[:1] + x0.shape[1:])
+def live(p, rng):
+    """Draw the zero-initialised residual projections: every parameter reaches y."""
+    for q in (p.fc_out, p.ffn_w2):
+        q.value = T.trunc_normal(rng, q.shape, 0.2, F64)
+    return p
 
-    plist = p.params()
 
-    def f(inputs):
-        x = inputs[0]
-        for q, v in zip(plist, inputs[1:]):
-            q.value = v
-            q.grad = None
-        y, _, back = gfc.gfc_block_forward(x, p)
-        dx = back(w)
-        return (y * w).sum(), [dx] + [q.grad for q in plist]
-
-    report = T.grad_check(f, [x0] + [q.value.copy() for q in plist], tol=tol)
-    assert report.passed, str(report)
+def _block_fd(run, x0, w, plist):
+    """FD over the input and every parameter; each gets a nonzero gradient."""
+    grad_check(run, [x0], w, params=plist, tol=1e-4)
+    assert [q.name for q in plist if not np.any(q.grad)] == []
 
 
 def test_block_grad_matches_fd_all_flags():
     rng = np.random.default_rng(31)
-    p = toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2))
-    _block_fd(p, rng.normal(size=(1, 3, 3, 4)))
+    p = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2)), rng)
+    x0 = rng.normal(size=(1, 3, 3, 4))
+    _block_fd(lambda x: gfc.gfc_block_forward(x, p), x0,
+              np.random.default_rng(0).normal(size=x0.shape), p.params())
 
 
 def test_block_grad_matches_fd_reduced_flags():
     rng = np.random.default_rng(32)
     flags = gfc.BlockFlags(tcos=False)
-    p = toy_block(rng, d=4, dp=4, heads=1, grid=(2, 2), flags=flags)
-    _block_fd(p, rng.normal(size=(1, 3, 3, 4)))
+    p = live(toy_block(rng, d=4, dp=4, heads=1, grid=(2, 2), flags=flags), rng)
+    x0 = rng.normal(size=(1, 3, 3, 4))
+    _block_fd(lambda x: gfc.gfc_block_forward(x, p), x0,
+              np.random.default_rng(0).normal(size=x0.shape), p.params())
+
+
+def two_block_stage(x, p1, p2):
+    """An owner block and a consumer of its assignment, as one (y, backward)."""
+    y1, st1, back1 = gfc.gfc_block_forward(x, p1)
+    y2, _, back2 = gfc.gfc_block_forward(y1, p2, shared=st1.assignment)
+
+    def backward(dy):
+        d_y1, d_shared = back2(dy)
+        return back1(d_y1, d_shared=d_shared)
+
+    return y2, backward
 
 
 def test_two_block_sharing_grad_matches_fd():
-    """Finite differences across a two-block stage with a shared assignment:
-    the consumer's weight gradient must flow back into the owner's query
-    parameters and activations."""
+    """The consumer's weight gradient must flow back through the shared
+    assignment into the owner's query parameters and activations."""
     rng = np.random.default_rng(33)
-    p1 = toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2))
-    p2 = toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2), owns=False)
-    plist = p1.params() + p2.params()
+    p1 = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2), name="owner"), rng)
+    p2 = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2), owns=False, name="consumer"), rng)
     w = rng.normal(size=(1, 3, 3, 4))
-
-    def f(inputs):
-        x = inputs[0]
-        for q, v in zip(plist, inputs[1:]):
-            q.value = v
-            q.grad = None
-        y1, st1, back1 = gfc.gfc_block_forward(x, p1)
-        y2, _, back2 = gfc.gfc_block_forward(y1, p2, shared=st1.assignment)
-        d_y1, d_shared = back2(w)
-        dx = back1(d_y1, d_shared=d_shared)
-        return (y2 * w).sum(), [dx] + [q.grad for q in plist]
-
-    report = T.grad_check(f, [w * 0 + rng.normal(size=w.shape)]
-                          + [q.value.copy() for q in plist], tol=1e-4)
-    assert report.passed, str(report)
+    x0 = rng.normal(size=w.shape)
+    _block_fd(lambda x: two_block_stage(x, p1, p2), x0, w, p1.params() + p2.params())
 
 
 # ---------------------------------------------------------------------------

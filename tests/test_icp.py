@@ -6,6 +6,7 @@ import pytest
 from cluenet import icp
 from cluenet import tensor as T
 from cluenet.errors import ConfigError
+from fd import grad_check
 
 F64 = np.float64
 
@@ -220,49 +221,21 @@ def test_well_separated_windows_reduce_to_avg_pool():
 # gradients: the module's reason to exist
 # ---------------------------------------------------------------------------
 
-def _loss_weights(shape, seed):
-    return np.random.default_rng(seed).normal(size=shape)
-
-
 def test_icp_grad_matches_fd():
     rng = np.random.default_rng(9)
     p = toy_params(rng)
-    plist = p.params()
-    w = _loss_weights((1, 2, 2, 4), 10)
-
-    def f(inputs):
-        x = inputs[0]
-        for q, v in zip(plist, inputs[1:]):
-            q.value = v
-            q.grad = None
-        out, _, back = icp.icp_forward(x, p)
-        dx = back(w)
-        return (out * w).sum(), [dx] + [q.grad for q in plist]
-
-    report = T.grad_check(f, [rng.normal(size=(1, 4, 4, 4))] + [q.value.copy() for q in plist],
-                          tol=1e-4)
-    assert report.passed, str(report)
+    w = np.random.default_rng(10).normal(size=(1, 2, 2, 4))
+    grad_check(lambda x: icp.icp_forward(x, p), [rng.normal(size=(1, 4, 4, 4))], w,
+               params=p.params(), tol=1e-4)
 
 
 def test_fec_grad_matches_fd_excluding_projf():
     rng = np.random.default_rng(11)
     p = toy_params(rng)
     plist = [q for q in p.params() if q is not p.proj_f]
-    w = _loss_weights((1, 2, 2, 4), 12)
-
-    def f(inputs):
-        x = inputs[0]
-        for q, v in zip(plist, inputs[1:]):
-            q.value = v
-            q.grad = None
-        p.proj_f.grad = None
-        out, _, back = fec_pool_oracle(x, p)
-        dx = back(w)
-        return (out * w).sum(), [dx] + [q.grad for q in plist]
-
-    report = T.grad_check(f, [rng.normal(size=(1, 4, 4, 4))] + [q.value.copy() for q in plist],
-                          tol=1e-4)
-    assert report.passed, str(report)
+    w = np.random.default_rng(12).normal(size=(1, 2, 2, 4))
+    grad_check(lambda x: fec_pool_oracle(x, p), [rng.normal(size=(1, 4, 4, 4))], w,
+               params=plist, tol=1e-4)
 
 
 def test_projf_gradient_alive_vs_dead():
@@ -315,18 +288,6 @@ def test_linear_transition_shapes_and_partition():
 def test_linear_transition_grad_matches_fd():
     rng = np.random.default_rng(16)
     p = icp.make_linear_transition(rng, 3, 5, dtype=F64)
-    plist = p.params()
-    w = _loss_weights((1, 2, 2, 5), 17)
-
-    def f(inputs):
-        x = inputs[0]
-        for q, v in zip(plist, inputs[1:]):
-            q.value = v
-            q.grad = None
-        out, _, back = icp.linear_transition_forward(x, p)
-        dx = back(w)
-        return (out * w).sum(), [dx] + [q.grad for q in plist]
-
-    report = T.grad_check(f, [rng.normal(size=(1, 2, 2, 3))] + [q.value.copy() for q in plist],
-                          tol=1e-6)
-    assert report.passed, str(report)
+    w = np.random.default_rng(17).normal(size=(1, 2, 2, 5))
+    grad_check(lambda x: icp.linear_transition_forward(x, p), [rng.normal(size=(1, 2, 2, 3))], w,
+               params=p.params(), tol=1e-6)

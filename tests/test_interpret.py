@@ -15,16 +15,46 @@ def _state(m, n):
         heads=1, grid_hw=(1, m))
 
 
-def test_read_trace_keeps_trailing_empty_clusters(tmp_path):
-    # clusters 2 and 3 of the 2x2 pool grid own no pixel
+def _two_stage_trace():
+    """Two 2x2 stages of 2 centers each; clusters 2 and 3 of the pool own no pixel."""
     pool = icp.PoolAssignment(owner=np.array([0, 0, 1, 1], dtype=np.int32), m=4, grid_hw=(2, 2))
-    trace = interpret.TraceBundle(image_hw=(8, 8), patch=4, stage_hw=[(2, 2), (2, 2)],
-                                  states=[[_state(2, 4)], [_state(2, 4)]], pools=[pool])
+    return interpret.TraceBundle(image_hw=(8, 8), patch=4, stage_hw=[(2, 2), (2, 2)],
+                                 states=[[_state(2, 4)], [_state(2, 4)]], pools=[pool])
+
+
+def test_read_trace_keeps_trailing_empty_clusters(tmp_path):
+    trace = _two_stage_trace()
     path = tmp_path / "t.clue"
     interpret.write_trace(path, trace)
     back = interpret.read_trace(path)
     assert back.pools[0].m == 4
-    np.testing.assert_array_equal(back.pools[0].owner, pool.owner)
+    np.testing.assert_array_equal(back.pools[0].owner, trace.pools[0].owner)
+
+
+I32 = np.int32
+BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
+    "owner value 9 in a 4-cluster pool": ("pool", "owner", np.array([0, 0, 9, 1], I32)),
+    "3-entry owner for 4 points": ("pool", "owner", np.array([0, 0, 1], I32)),
+    "pool grid is not the next stage's map": ("pool", "grid_hw", (1, 4)),
+    "column -1": ("assignment", "cols", np.array([[0, -1, 0, 0]], I32)),
+    "column 7 with m = 2": ("assignment", "cols", np.array([[0, 7, 0, 0]], I32)),
+    "cols for 3 of 4 points": ("assignment", "cols", np.zeros((1, 3), I32)),
+    "weights of 2 heads for 1": ("assignment", "weights", np.ones((2, 4), np.float32)),
+    "image is not stage 1's map times the patch": ("trace", "image_hw", (8, 12)),
+    "map size of 3 values": ("trace", "stage_hw", [(2, 2, 1), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TRACES))
+def test_read_trace_rejects_malformed_trace(tmp_path, bad):
+    trace = _two_stage_trace()
+    part, name, value = BAD_TRACES[bad]
+    parts = {"trace": trace, "pool": trace.pools[0], "assignment": trace.states[1][0].assignment}
+    setattr(parts[part], name, value)
+    path = tmp_path / "t.clue"
+    interpret.write_trace(path, trace)
+    with pytest.raises(FormatError):
+        interpret.read_trace(path)
 
 
 def test_read_ppm_bad_size_line(tmp_path):
@@ -143,11 +173,8 @@ def test_cluster_receptive_field_rejects_bad_stage(stage):
 
 
 def test_cluster_receptive_field_rejects_bad_stage_on_two_stage_trace():
-    pool = icp.PoolAssignment(owner=np.array([0, 0, 1, 1], dtype=np.int32), m=4, grid_hw=(2, 2))
-    trace = interpret.TraceBundle(image_hw=(8, 8), patch=4, stage_hw=[(2, 2), (2, 2)],
-                                  states=[[_state(2, 4)], [_state(2, 4)]], pools=[pool])
     with pytest.raises(ValueError, match="stage 5"):
-        interpret.cluster_receptive_field(trace, 5, 0, 0)
+        interpret.cluster_receptive_field(_two_stage_trace(), 5, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from cluenet import pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
+from fd import grad_check, wave
 
 F64 = np.float64
 
@@ -131,19 +132,8 @@ def test_embed_grad_matches_fd():
     rng = np.random.default_rng(6)
     w, b = _embed_params(rng, 3)
     grid = pfe.make_grid(8, 8, dtype=F64)
-
-    def f(inputs):
-        img, wv, bv = inputs
-        w.value, b.value = wv, bv
-        w.grad = b.grad = None
-        y, back = pfe.patch_embed(img, grid, w, b)
-        co = np.cos(np.arange(y.size, dtype=F64)).reshape(y.shape)
-        dimg = back(co)
-        return (y * co).sum(), [dimg, w.grad, b.grad]
-
-    report = T.grad_check(f, [rng.normal(size=(1, 8, 8, 3)), w.value.copy(), b.value.copy()],
-                          step=1e-5, tol=1e-6)
-    assert report.passed, str(report)
+    grad_check(lambda img: pfe.patch_embed(img, grid, w, b), [rng.normal(size=(1, 8, 8, 3))],
+               wave((1, 2, 2, 3)), params=[w, b], step=1e-5, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +166,5 @@ def test_pos_residual_decomposition():
 def test_pos_residual_grad_matches_fd():
     rng = np.random.default_rng(10)
     dw = param("dw", rng.normal(size=(3, 3, 2)))
-
-    def f(inputs):
-        x, kv = inputs
-        dw.value, dw.grad = kv, None
-        y, back = pfe.pos_residual(x, dw)
-        s = np.sin(np.arange(y.size, dtype=F64)).reshape(y.shape)
-        dx = back(s)
-        return (y * s).sum(), [dx, dw.grad]
-
-    report = T.grad_check(f, [rng.normal(size=(1, 4, 4, 2)), dw.value.copy()], tol=1e-6)
-    assert report.passed, str(report)
+    grad_check(lambda x: pfe.pos_residual(x, dw), [rng.normal(size=(1, 4, 4, 2))],
+               wave((1, 4, 4, 2), np.sin), params=[dw], tol=1e-6)

@@ -6,6 +6,7 @@ import pytest
 from cluenet import gfc, icp, pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
+from fd import grad_check, wave
 
 F64 = np.float64
 
@@ -295,59 +296,26 @@ def test_layer_norm_zero_mean_unit_scale():
 # gradient checks: every primitive against central differences
 # ---------------------------------------------------------------------------
 
-def _check(f, inputs, tol=1e-7):
-    report = T.grad_check(f, inputs, step=1e-5, tol=tol)
-    assert report.passed, str(report)
-    return report
-
-
 def test_grad_linear():
     rng = np.random.default_rng(10)
     w = param("w", rng.normal(size=(4, 3)))
     b = param("b", rng.normal(size=4))
-
-    def f(inputs):
-        x, wv, bv = inputs
-        w.value, b.value = wv, bv
-        w.grad = b.grad = None
-        y, back = T.linear(x, w, b)
-        dx = back(np.ones_like(y))
-        return y.sum(), [dx, w.grad, b.grad]
-
-    _check(f, [rng.normal(size=(2, 3)), w.value.copy(), b.value.copy()])
+    grad_check(lambda x: T.linear(x, w, b), [rng.normal(size=(2, 3))], np.ones((2, 4)),
+               params=[w, b])
 
 
 def test_grad_mlp2():
     rng = np.random.default_rng(11)
     p = _mlp(rng.normal(size=(5, 3)), rng.normal(size=5),
              rng.normal(size=(2, 5)), rng.normal(size=2))
-
-    def f(inputs):
-        x = inputs[0]
-        for q, v in zip(p.params(), inputs[1:]):
-            q.value = v
-            q.grad = None
-        y, back = T.mlp2(x, p)
-        loss = (y ** 2).sum()
-        dx = back(2.0 * y)
-        return loss, [dx] + [q.grad for q in p.params()]
-
-    _check(f, [rng.normal(size=(3, 3))] + [q.value.copy() for q in p.params()])
+    grad_check(lambda x: T.mlp2(x, p), [rng.normal(size=(3, 3))], wave((3, 2)), params=p.params())
 
 
 def test_grad_dwconv():
     rng = np.random.default_rng(12)
     k = param("k", rng.normal(size=(3, 3, 2)))
-
-    def f(inputs):
-        x, kv = inputs
-        k.value, k.grad = kv, None
-        y, back = T.dwconv2d(x, k)
-        w = np.cos(np.arange(y.size, dtype=np.float64)).reshape(y.shape)
-        dx = back(w)
-        return (y * w).sum(), [dx, k.grad]
-
-    _check(f, [rng.normal(size=(1, 4, 5, 2)), k.value.copy()])
+    grad_check(lambda x: T.dwconv2d(x, k), [rng.normal(size=(1, 4, 5, 2))], wave((1, 4, 5, 2)),
+               params=[k])
 
 
 def test_grad_dwconv_identity_kernel_passthrough():
@@ -360,26 +328,14 @@ def test_grad_dwconv_identity_kernel_passthrough():
 
 def test_grad_adaptive_pool():
     rng = np.random.default_rng(14)
-
-    def f(inputs):
-        (x,) = inputs
-        y, back = T.adaptive_avg_pool2d(x, 2, 3)
-        w = np.sin(np.arange(y.size, dtype=np.float64)).reshape(y.shape)
-        return (y * w).sum(), [back(w)]
-
-    _check(f, [rng.normal(size=(1, 5, 7, 2))])
+    grad_check(lambda x: T.adaptive_avg_pool2d(x, 2, 3), [rng.normal(size=(1, 5, 7, 2))],
+               wave((1, 2, 3, 2), np.sin))
 
 
 def test_grad_softmax_weighted():
     rng = np.random.default_rng(15)
     w = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
-
-    def f(inputs):
-        (x,) = inputs
-        y, back = T.softmax(x)
-        return (y * w).sum(), [back(w)]
-
-    _check(f, [rng.normal(size=(3, 4))])
+    grad_check(T.softmax, [rng.normal(size=(3, 4))], w)
 
 
 def test_grad_softmax_sum_is_constant():
@@ -388,39 +344,21 @@ def test_grad_softmax_sum_is_constant():
     y, back = T.softmax(x)
     dx = back(np.ones_like(y))
     np.testing.assert_allclose(dx, 0.0, atol=1e-15)
-
-    def f(inputs):
-        yy, bb = T.softmax(inputs[0])
-        return yy.sum(), [bb(np.ones_like(yy))]
-
     # Analytic gradient is exactly 0; FD leaves ~1e-11 of rounding noise which
     # the relative-error floor (1e-6) inflates, so gate on the looser tolerance.
-    _check(f, [x], tol=1e-4)
+    grad_check(T.softmax, [x], np.ones_like(y), tol=1e-4)
 
 
 def test_grad_sigmoid():
     rng = np.random.default_rng(17)
-
-    def f(inputs):
-        (x,) = inputs
-        y, back = T.sigmoid(x)
-        return (y ** 2).sum(), [back(2 * y)]
-
-    _check(f, [rng.normal(size=(4, 3))])
+    grad_check(T.sigmoid, [rng.normal(size=(4, 3))], wave((4, 3)))
 
 
 def test_grad_cosine():
     rng = np.random.default_rng(18)
     w = rng.normal(size=(3, 4))
-
-    def f(inputs):
-        a, b = inputs
-        y, back = T.cosine_sim(a, b)
-        da, db = back(w)
-        return (y * w).sum(), [da, db]
-
     # Rows well away from the eps floor so the clamp never engages.
-    _check(f, [rng.normal(size=(3, 5)) + 2.0, rng.normal(size=(4, 5)) - 2.0])
+    grad_check(T.cosine_sim, [rng.normal(size=(3, 5)) + 2.0, rng.normal(size=(4, 5)) - 2.0], w)
 
 
 def test_grad_layer_norm():
@@ -428,27 +366,12 @@ def test_grad_layer_norm():
     g = param("g", rng.normal(size=6) + 1.0)
     b = param("b", rng.normal(size=6))
     w = rng.normal(size=(4, 6))
-
-    def f(inputs):
-        x, gv, bv = inputs
-        g.value, b.value = gv, bv
-        g.grad = b.grad = None
-        y, back = T.layer_norm(x, g, b)
-        dx = back(w)
-        return (y * w).sum(), [dx, g.grad, b.grad]
-
-    _check(f, [rng.normal(size=(4, 6)), g.value.copy(), b.value.copy()])
+    grad_check(lambda x: T.layer_norm(x, g, b), [rng.normal(size=(4, 6))], w, params=[g, b])
 
 
 def test_grad_gelu():
     rng = np.random.default_rng(20)
-
-    def f(inputs):
-        (x,) = inputs
-        y, back = T.gelu(x)
-        return y.sum(), [back(np.ones_like(y))]
-
-    _check(f, [rng.normal(size=(3, 5))])
+    grad_check(T.gelu, [rng.normal(size=(3, 5))], np.ones((3, 5)))
 
 
 # ---------------------------------------------------------------------------
