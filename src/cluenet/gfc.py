@@ -244,7 +244,8 @@ class ClusterState:
 class GfcParams:
     """Everything one block owns. tau_raw and gate are absent when the flags
     switch them off, w_q/alpha/beta when the block consumes a shared
-    assignment."""
+    assignment, and w_s/b_s when it does both (nothing reads the similarity
+    projection then)."""
 
     d: int
     dp: int
@@ -253,8 +254,8 @@ class GfcParams:
     flags: BlockFlags
     norm1_g: T.Parameter
     norm1_b: T.Parameter
-    w_s: T.Parameter
-    b_s: T.Parameter
+    w_s: T.Parameter | None
+    b_s: T.Parameter | None
     w_v: T.Parameter
     b_v: T.Parameter
     tau_raw: T.Parameter | None
@@ -277,7 +278,10 @@ class GfcParams:
         return self.w_q is not None
 
     def params(self) -> list[T.Parameter]:
-        out = [self.norm1_g, self.norm1_b, self.w_s, self.b_s, self.w_v, self.b_v]
+        out = [self.norm1_g, self.norm1_b]
+        if self.w_s is not None:
+            out.extend([self.w_s, self.b_s])
+        out.extend([self.w_v, self.b_v])
         if self.tau_raw is not None:
             out.append(self.tau_raw)
         if self.gate is not None:
@@ -313,10 +317,12 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
         gate = T.Mlp2Params(tn("gate.w1", (dp, 2 * dp)), zeros("gate.b1", (dp,)),
                             tn("gate.w2", (1, dp)), zeros("gate.b2", (1,)))
     hidden = FFN_EXPANSION * d
+    uses_s = flags.fa or owns_assignment
     return GfcParams(
         d=d, dp=dp, heads=heads, grid_hw=grid_hw, flags=flags,
         norm1_g=const("norm1_g", np.ones(d)), norm1_b=zeros("norm1_b", (d,)),
-        w_s=tn("w_s", (dp, d)), b_s=zeros("b_s", (dp,)),
+        w_s=tn("w_s", (dp, d)) if uses_s else None,
+        b_s=zeros("b_s", (dp,)) if uses_s else None,
         w_v=tn("w_v", (dp, d)), b_v=zeros("b_v", (dp,)),
         tau_raw=const("tau_raw", 0.0) if (flags.fa and flags.tcos) else None,
         gate=gate,
@@ -350,9 +356,10 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     m = gh * gw
 
     xn, back_norm1 = T.layer_norm(x, p.norm1_g, p.norm1_b)
-    ps_map, back_ws = T.linear(xn, p.w_s, p.b_s)     # (B,H,W,d')
+    if p.w_s is not None:    # only aggregation and the block's own assignment read p_s
+        ps_map, back_ws = T.linear(xn, p.w_s, p.b_s)     # (B,H,W,d')
+        ps_h = split_heads(ps_map.reshape(bsz, n, dp), heads)   # (B,M,n,dh)
     pv_map, back_wv = T.linear(xn, p.w_v, p.b_v)
-    ps_h = split_heads(ps_map.reshape(bsz, n, dp), heads)   # (B,M,n,dh)
     pv_h = split_heads(pv_map.reshape(bsz, n, dp), heads)
     cv0, back_pool_v = init_centers(pv_map, gh, gw)          # (B,m,d')
 
@@ -406,7 +413,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         d_cvt = merge_heads(d_cvt_h)
         dx = d_p.reshape(bsz, hh, ww, d)
 
-        d_ps_h = np.zeros_like(ps_h)
+        d_ps_h = np.zeros_like(ps_h) if p.w_s is not None else None
         d_pv_h = np.zeros_like(pv_h)
         if p.owns_assignment:
             if d_shared is not None:
@@ -428,10 +435,13 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
             d_ps_map = merge_heads(d_ps_h).reshape(ps_map.shape) + back_pool_s(merge_heads(d_cs_h))
         else:
             d_cv0 = d_cvt
-            d_ps_map = merge_heads(d_ps_h).reshape(ps_map.shape)
+            if p.w_s is not None:
+                d_ps_map = merge_heads(d_ps_h).reshape(ps_map.shape)
 
         d_pv_map = merge_heads(d_pv_h).reshape(pv_map.shape) + back_pool_v(d_cv0)
-        d_xn = back_ws(d_ps_map) + back_wv(d_pv_map)
+        d_xn = back_wv(d_pv_map)
+        if p.w_s is not None:
+            d_xn = back_ws(d_ps_map) + d_xn
         dx = dx + back_norm1(d_xn)
         if p.owns_assignment:
             return dx
@@ -455,7 +465,8 @@ def block_macs(n: int, m: int, d: int, dp: int, heads: int,
     """
     hidden = FFN_EXPANSION * d
     total = 0
-    total += 2 * n * d * dp                 # similarity/value projections
+    uses_s = flags.fa or owns_assignment
+    total += (1 + uses_s) * n * d * dp       # value (+ similarity) projections
     total += n * dp                          # center grid pooling
     total += 8 * n * d * 2                   # two channel norms (approx 8 ops/elem)
     if flags.fa:

@@ -100,9 +100,9 @@ def _pool_means(vectors: np.ndarray, owner: np.ndarray, seeds: np.ndarray):
 def icp_forward(x: np.ndarray, p: IcpParams):
     """Pool (B, H, W, d_in) to (B, H/2, W/2, d_out).
 
-    Returns (out, PoolAssignment, backward); backward(d_out) -> dx. The
-    partition is constant in backward; gradients flow through the cluster
-    means and both projections.
+    Returns (out, PoolAssignment, backward); backward(d_out) -> dx, which
+    keeps x's dtype. The partition is constant in backward; gradients flow
+    through the cluster means and both projections.
     """
     bsz, hh, ww, d = T.map_shape(x, "pool")
     if d != p.d_in:
@@ -128,7 +128,8 @@ def icp_forward(x: np.ndarray, p: IcpParams):
         d_pooled = back_projv(d_out.reshape(bsz, m, p.d_out))
         d_s_flat, d_seeds = back_means(d_pooled)
         d_s_map = d_s_flat.reshape(s_map.shape) + back_seed_pool(d_seeds.reshape(seeds_map.shape))
-        return back_norm(back_projf(d_s_map))
+        # _pool_means promotes float32 to float64; keep that out of the stage before
+        return back_norm(back_projf(d_s_map)).astype(x.dtype, copy=False)
 
     return out, assign, backward
 

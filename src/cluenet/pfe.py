@@ -72,15 +72,15 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
     xc = np.concatenate([img, g], axis=-1)
     hp, wp = h // PATCH, w // PATCH
     windows = xc.reshape(b, hp, PATCH, wp, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
-    flat = np.ascontiguousarray(windows).reshape(b, hp, wp, PATCH * PATCH * 5)
+    flat = np.ascontiguousarray(windows).reshape(-1, PATCH * PATCH * 5)  # one row per patch
     wmat = weight.value.reshape(d, -1)
-    y = flat @ wmat.T + bias.value
+    y = (flat @ wmat.T + bias.value).reshape(b, hp, wp, d)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         dy2 = dy.reshape(-1, d)
         bias.add_grad(dy2.sum(axis=0))
-        weight.add_grad((dy2.T @ flat.reshape(-1, flat.shape[-1])).reshape(weight.value.shape))
-        dflat = dy @ wmat
+        weight.add_grad((dy2.T @ flat).reshape(weight.value.shape))
+        dflat = dy2 @ wmat
         dwin = dflat.reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
         dxc = np.ascontiguousarray(dwin).reshape(b, h, w, 5)
         return dxc[..., :IMG_CHANNELS]

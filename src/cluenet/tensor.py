@@ -86,21 +86,24 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     """y[..., j] = sum_k x[..., k] * w[j, k] (+ bias[j]).
 
     ``x`` may carry arbitrary leading dimensions; ``w`` has shape (out, in).
+    The leading dimensions are flattened, so the forward and each gradient
+    are one 2-D GEMM over all positions, not one per leading index.
     """
     if x.shape[-1] != w.value.shape[1]:
         raise DimensionError(f"linear: input width {x.shape[-1]} != weight width {w.value.shape[1]}")
-    y = x @ w.value.T
+    x2 = x.reshape(-1, x.shape[-1])
+    y = x2 @ w.value.T
     if bias is not None:
         y = y + bias.value
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dx = dy @ w.value
-        w.add_grad(dy.reshape(-1, dy.shape[-1]).T @ x.reshape(-1, x.shape[-1]))
+        dy2 = dy.reshape(-1, dy.shape[-1])
+        w.add_grad(dy2.T @ x2)
         if bias is not None:
-            bias.add_grad(dy.reshape(-1, dy.shape[-1]).sum(axis=0))
-        return dx
+            bias.add_grad(dy2.sum(axis=0))
+        return (dy2 @ w.value).reshape(x.shape)
 
-    return y, backward
+    return y.reshape(*x.shape[:-1], y.shape[-1]), backward
 
 
 def gelu(x: np.ndarray):

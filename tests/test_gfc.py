@@ -522,6 +522,21 @@ def test_two_block_sharing_grad_matches_fd():
     _block_fd(lambda x: two_block_stage(x, p1, p2), x0, w, p1.params() + p2.params())
 
 
+def test_two_block_sharing_grad_matches_fd_fa_off():
+    """Without aggregation a consumer never reads the similarity projection,
+    so it has none; every parameter the pair keeps still gets its gradient."""
+    rng = np.random.default_rng(34)
+    flags = gfc.BlockFlags(fa=False)
+    p1 = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2), flags=flags, name="owner"), rng)
+    p2 = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2), flags=flags, owns=False,
+                        name="consumer"), rng)
+    assert p1.w_s is not None and p2.w_s is None and p2.b_s is None
+    assert not any(".w_s" in q.name or ".b_s" in q.name for q in p2.params())
+    w = rng.normal(size=(1, 3, 3, 4))
+    x0 = rng.normal(size=w.shape)
+    _block_fd(lambda x: two_block_stage(x, p1, p2), x0, w, p1.params() + p2.params())
+
+
 # ---------------------------------------------------------------------------
 # cost model
 # ---------------------------------------------------------------------------
@@ -539,3 +554,11 @@ def test_macs_flags_reduce_cost():
     no_fa = gfc.block_macs(n=256, m=16, d=32, dp=32, heads=2,
                            flags=gfc.BlockFlags(fa=False))
     assert no_fa < full
+
+
+def test_macs_consumer_without_aggregation_has_one_projection():
+    n, m, d, dp, heads = 256, 16, 32, 24, 2
+    kw = dict(n=n, m=m, d=d, dp=dp, heads=heads, flags=gfc.BlockFlags(fa=False))
+    owner_only = m * dp * dp + n * m * dp + (n + m) * dp + 3 * heads * n * m
+    assert (gfc.block_macs(**kw) - gfc.block_macs(**kw, owns_assignment=False)
+            == owner_only + n * d * dp)

@@ -49,6 +49,34 @@ def test_linear_shape_mismatch():
         T.linear(np.zeros((2, 3)), param("w", np.zeros((4, 5))))
 
 
+def _linear_run(x, w, b, dy):
+    wp, bp = T.Parameter("w", w), T.Parameter("b", b)
+    y, back = T.linear(x, wp, bp)
+    return y, back(dy), wp.grad, bp.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_linear_is_one_gemm_over_leading_axes(dtype):
+    """A (2, 3, 4, 5) map gives bitwise the results of its 24 rows as one
+    (24, 5) matrix, and a non-contiguous view those of its contiguous copy."""
+    rng = np.random.default_rng(40)
+    x, dy = rng.normal(size=(2, 3, 4, 5)).astype(dtype), rng.normal(size=(2, 3, 4, 6)).astype(dtype)
+    w, b = rng.normal(size=(6, 5)).astype(dtype), rng.normal(size=6).astype(dtype)
+
+    y, dx, gw, gb = _linear_run(x, w, b, dy)
+    rows = _linear_run(x.reshape(24, 5), w, b, dy.reshape(24, 6))
+    assert y.shape == dy.shape and dx.shape == x.shape
+    for got, want in zip((y.reshape(24, 6), dx.reshape(24, 5), gw, gb), rows):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    xv, dyv = x.swapaxes(1, 2), dy.swapaxes(1, 2)
+    view = _linear_run(xv, w, b, dyv)
+    copy = _linear_run(np.ascontiguousarray(xv), w, b, np.ascontiguousarray(dyv))
+    for got, want in zip(view, copy):
+        np.testing.assert_array_equal(got, want)
+
+
 def _mlp(w1, b1, w2, b2, act="gelu"):
     return T.Mlp2Params(param("w1", w1), param("b1", b1), param("w2", w2), param("b2", b2), act)
 
