@@ -202,7 +202,7 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
     heads, m = centers_h.shape[1:3]
     lo, hi = int(assign.cols.min(initial=0)), int(assign.cols.max(initial=0))
     if lo < 0 or hi >= m:
-        raise RuntimeError(f"assignment references center {lo if lo < 0 else hi} of {m}")
+        raise ConfigError(f"assignment references center {lo if lo < 0 else hi} of {m}")
     idx = assign.cols.astype(np.intp)[..., None]
     sel = np.take_along_axis(centers_h, idx, axis=2)          # (B, M, n, dh)
     msg_h = assign.weights[..., None] * sel
@@ -241,14 +241,12 @@ class ClusterState:
 
 
 @dataclass
-class GfcParams:
+class GfcParams(T.ParamSet):
     """Everything one block owns. tau_raw and gate are absent when the flags
     switch them off, w_q/alpha/beta when the block consumes a shared
     assignment, and w_s/b_s when it does both (nothing reads the similarity
     projection then)."""
 
-    d: int
-    dp: int
     heads: int
     grid_hw: tuple[int, int]
     flags: BlockFlags
@@ -273,24 +271,9 @@ class GfcParams:
     ffn_w2: T.Parameter
     ffn_b2: T.Parameter
 
-    @property
-    def owns_assignment(self) -> bool:
-        return self.w_q is not None
-
-    def params(self) -> list[T.Parameter]:
-        out = [self.norm1_g, self.norm1_b]
-        if self.w_s is not None:
-            out.extend([self.w_s, self.b_s])
-        out.extend([self.w_v, self.b_v])
-        if self.tau_raw is not None:
-            out.append(self.tau_raw)
-        if self.gate is not None:
-            out.extend(self.gate.params())
-        if self.w_q is not None:
-            out.extend([self.w_q, self.alpha, self.beta])
-        out.extend([self.fc_out, self.b_out, self.norm2_g, self.norm2_b,
-                    self.ffn_w1, self.ffn_b1, self.ffn_dw, self.ffn_w2, self.ffn_b2])
-        return out
+    d = property(lambda self: self.norm1_g.shape[0])
+    dp = property(lambda self: self.w_v.shape[0])
+    owns_assignment = property(lambda self: self.w_q is not None)
 
 
 def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
@@ -319,7 +302,7 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     hidden = FFN_EXPANSION * d
     uses_s = flags.fa or owns_assignment
     return GfcParams(
-        d=d, dp=dp, heads=heads, grid_hw=grid_hw, flags=flags,
+        heads=heads, grid_hw=grid_hw, flags=flags,
         norm1_g=const("norm1_g", np.ones(d)), norm1_b=zeros("norm1_b", (d,)),
         w_s=tn("w_s", (dp, d)) if uses_s else None,
         b_s=zeros("b_s", (dp,)) if uses_s else None,

@@ -32,7 +32,7 @@ class PoolAssignment:
 
 
 @dataclass
-class IcpParams:
+class IcpParams(T.ParamSet):
     """Transition parameters: similarity projection plus output perceptron.
 
     ``proj_v`` is the two-layer perceptron d_in -> d_out -> d_out (GELU
@@ -43,11 +43,9 @@ class IcpParams:
     norm_b: T.Parameter
     proj_f: T.Parameter                       # (d_s, d_in), no bias
     proj_v: T.Mlp2Params
-    d_in: int
-    d_out: int
 
-    def params(self) -> list[T.Parameter]:
-        return [self.norm_g, self.norm_b, self.proj_f] + self.proj_v.params()
+    d_in = property(lambda self: self.norm_g.shape[0])
+    d_out = property(lambda self: self.proj_v.b2.shape[0])
 
 
 def make_icp_params(rng: np.random.Generator, d_in: int, d_out: int,
@@ -65,8 +63,7 @@ def make_icp_params(rng: np.random.Generator, d_in: int, d_out: int,
         norm_g=T.Parameter(f"{name}.norm_g", np.ones(d_in, dtype=dtype)),
         norm_b=zeros("norm_b", d_in),
         proj_f=tn("proj_f", (d_in, d_in)),
-        proj_v=T.Mlp2Params(w1, zeros("proj_v1.b", d_out), w2, zeros("proj_v2.b", d_out)),
-        d_in=d_in, d_out=d_out)
+        proj_v=T.Mlp2Params(w1, zeros("proj_v1.b", d_out), w2, zeros("proj_v2.b", d_out)))
 
 
 def _partition(s_flat: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -139,7 +136,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LinearTransitionParams:
+class LinearTransitionParams(T.ParamSet):
     """Channel-only stage transition: norm then a per-pixel projection.
 
     Used as the last transition, where the map is already too small to
@@ -151,11 +148,9 @@ class LinearTransitionParams:
     norm_b: T.Parameter
     w: T.Parameter
     b: T.Parameter
-    d_in: int
-    d_out: int
 
-    def params(self) -> list[T.Parameter]:
-        return [self.norm_g, self.norm_b, self.w, self.b]
+    d_in = property(lambda self: self.norm_g.shape[0])
+    d_out = property(lambda self: self.b.shape[0])
 
 
 def make_linear_transition(rng: np.random.Generator, d_in: int, d_out: int,
@@ -164,8 +159,7 @@ def make_linear_transition(rng: np.random.Generator, d_in: int, d_out: int,
         norm_g=T.Parameter(f"{name}.norm_g", np.ones(d_in, dtype=dtype)),
         norm_b=T.Parameter(f"{name}.norm_b", np.zeros(d_in, dtype=dtype)),
         w=T.Parameter(f"{name}.w", T.trunc_normal(rng, (d_out, d_in), 0.02, dtype)),
-        b=T.Parameter(f"{name}.b", np.zeros(d_out, dtype=dtype)),
-        d_in=d_in, d_out=d_out)
+        b=T.Parameter(f"{name}.b", np.zeros(d_out, dtype=dtype)))
 
 
 def linear_transition_forward(x: np.ndarray, p: LinearTransitionParams):

@@ -20,7 +20,7 @@ import numpy as np
 from . import container as C
 from .gfc import ClusterState, HardAssignment
 from .icp import PoolAssignment
-from .errors import FormatError
+from .errors import ConfigError, DimensionError, FormatError
 
 
 @dataclass
@@ -65,10 +65,10 @@ def receptive_field(trace: TraceBundle, stage: int, point: int) -> np.ndarray:
     sends to ``point``, as ascending flat pixel indices.
     """
     if not 0 <= stage < len(trace.stage_hw):
-        raise ValueError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
+        raise ConfigError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
     hh, ww = trace.stage_hw[stage]
     if not 0 <= point < hh * ww:
-        raise ValueError(f"point {point} out of range for a {hh}x{ww} map")
+        raise ConfigError(f"point {point} out of range for a {hh}x{ww} map")
     return np.flatnonzero(_pixel_labels(trace, stage) == point)
 
 
@@ -80,16 +80,16 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     ``cluster`` under ``head``, as ascending flat indices (empty if none).
     """
     if not 0 <= stage < len(trace.stage_hw):
-        raise ValueError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
+        raise ConfigError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
     states = trace.states[stage]
     if not 0 <= block < len(states):
-        raise ValueError(f"block {block} out of range [0,{len(states)})")
+        raise ConfigError(f"block {block} out of range [0,{len(states)})")
     st = states[block]
     if not 0 <= head < st.heads:
-        raise ValueError(f"head {head} out of range [0,{st.heads})")
+        raise ConfigError(f"head {head} out of range [0,{st.heads})")
     cols = st.assignment.cols[head]
     if not 0 <= cluster < st.assignment.m:
-        raise ValueError(f"cluster {cluster} out of range [0,{st.assignment.m})")
+        raise ConfigError(f"cluster {cluster} out of range [0,{st.assignment.m})")
     return np.flatnonzero(cols[_pixel_labels(trace, stage)] == cluster)
 
 
@@ -97,17 +97,21 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
 # K-Means merging
 # ---------------------------------------------------------------------------
 
+#: Lloyd step limit and k-means++ seed: merged maps are a pure function of the centers.
+KMEANS_ITERS = 100
+KMEANS_SEED = 0
+
+
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel groups in order of first appearance (stable, readable ids)."""
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first)).astype(np.int64)[inverse]
 
 
-def kmeans_merge(centers: np.ndarray, k: int, iters: int = 100,
-                 seed: int = 0) -> np.ndarray:
+def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     """Group m center vectors into k clusters by Lloyd iterations.
 
-    Seeded k-means++ initialization; distance ties take the lowest index;
+    k-means++ seeded with KMEANS_SEED; distance ties take the lowest index;
     a group that loses all members keeps its previous centroid. Labels are
     canonicalized by first appearance, so k == m yields the identity
     labeling and k == 1 all zeros.
@@ -115,8 +119,8 @@ def kmeans_merge(centers: np.ndarray, k: int, iters: int = 100,
     centers = np.asarray(centers, dtype=np.float64)
     m = centers.shape[0]
     if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1,{m}], got {k}")
-    rng = np.random.default_rng(seed)
+        raise ConfigError(f"k must be in [1,{m}], got {k}")
+    rng = np.random.default_rng(KMEANS_SEED)
 
     # k-means++ seeding
     means = np.empty((k, centers.shape[1]))
@@ -132,7 +136,7 @@ def kmeans_merge(centers: np.ndarray, k: int, iters: int = 100,
         d2 = np.minimum(d2, ((centers - means[j]) ** 2).sum(axis=1))
 
     labels = np.zeros(m, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         dist = ((centers[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)          # first min = lowest index
         for j in range(k):
@@ -182,7 +186,7 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     """Write (H, W, 3) uint8 pixels as binary PPM (P6, maxval 255)."""
     h, w, c = pixels.shape
     if c != 3 or pixels.dtype != np.uint8:
-        raise ValueError("write_ppm expects (H, W, 3) uint8")
+        raise DimensionError("write_ppm expects (H, W, 3) uint8")
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
@@ -199,6 +203,8 @@ def read_ppm(path) -> np.ndarray:
         w, h = (int(v) for v in parts[1].split())
     except ValueError as exc:
         raise FormatError(f"{path}: bad PPM size line {parts[1]!r}") from exc
+    if w < 0 or h < 0:
+        raise FormatError(f"{path}: negative PPM size {w}x{h}")
     pixels = np.frombuffer(parts[3], dtype=np.uint8)
     if pixels.size != h * w * 3:
         raise FormatError(f"{path}: payload size {pixels.size} != {h * w * 3}")
@@ -214,9 +220,9 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     where two overlap. Returns the rendered uint8 array (also written to ``out_path``).
     """
     if len(spec.palette) < len(pixel_sets):
-        raise ValueError(f"palette has {len(spec.palette)} colors for {len(pixel_sets)} sets")
+        raise ConfigError(f"palette has {len(spec.palette)} colors for {len(pixel_sets)} sets")
     if not 0.0 <= spec.alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {spec.alpha}")
+        raise ConfigError(f"alpha must lie in [0,1], got {spec.alpha}")
     img = np.asarray(image)
     if img.dtype == np.uint8:
         base = img.astype(np.float64) / 255.0
@@ -230,10 +236,10 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     for idx, pset in enumerate(pixel_sets):
         pix = pset if isinstance(pset, np.ndarray) else np.array(list(pset), dtype=np.int64)
         if pix.ndim != 1 or pix.dtype.kind not in "iu":
-            raise ValueError(f"pixel set {idx} is not a list of flat pixel indices")
+            raise DimensionError(f"pixel set {idx} is not a list of flat pixel indices")
         bad = np.flatnonzero((pix < 0) | (pix >= hh * ww))
         if bad.size:
-            raise ValueError(f"pixel {pix[bad[0]]} outside {hh}x{ww} image")
+            raise ConfigError(f"pixel {pix[bad[0]]} outside {hh}x{ww} image")
         flat_out[pix] = (1.0 - spec.alpha) * flat_base[pix] + spec.alpha * colors[idx]
         flat_label[pix] = idx
     if spec.outline:
@@ -285,7 +291,7 @@ def read_trace(path) -> TraceBundle:
     """Inverse of write_trace. Raises FormatError when an entry is missing or
     does not fit the maps it indexes: the image is stage 1's map times the
     patch, a pool sends its stage into the next stage's map, and a block's
-    cols and weights are (heads, n) with cols in [0, m)."""
+    grid holds its m centers, with cols and weights (heads, n), cols in [0, m)."""
     entries = C.read_container(path)
 
     def need(key, shape=None, below=np.inf):
@@ -302,8 +308,8 @@ def read_trace(path) -> TraceBundle:
         return tuple(int(v) for v in need(key, (2,)))
 
     image_hw = need_hw("image_hw")
-    patch = int(need("patch")[0])
-    num_stages = int(need("num_stages")[0])
+    patch = int(need("patch", (1,))[0])
+    num_stages = int(need("num_stages", (1,))[0])
     stage_hw = [need_hw(f"stage{k + 1}/map_hw") for k in range(num_stages)]
     if not stage_hw or image_hw != (stage_hw[0][0] * patch, stage_hw[0][1] * patch):
         raise FormatError(f"trace image {image_hw} is not stage 1's map times patch {patch}")
@@ -311,7 +317,7 @@ def read_trace(path) -> TraceBundle:
     for k, (hh, ww) in enumerate(stage_hw):
         tag = f"stage{k + 1}"
         blocks = []
-        for j in range(int(need(f"{tag}/num_blocks")[0])):
+        for j in range(int(need(f"{tag}/num_blocks", (1,))[0])):
             btag = f"{tag}/block{j + 1}"
             centers = need(f"{btag}/centers")
             cols = need(f"{btag}/assignment/cols")
@@ -319,10 +325,13 @@ def read_trace(path) -> TraceBundle:
             if centers.ndim != 2 or cols.ndim != 2 or weights.shape != cols.shape:
                 raise FormatError(f"trace block {btag!r} centers, cols or weights are misshapen")
             need(f"{btag}/assignment/cols", (len(cols), hh * ww), len(centers))
+            grid = need_hw(f"{btag}/grid_hw")
+            if math.prod(grid) != len(centers):
+                raise FormatError(f"trace block {btag!r} grid {grid} does not hold {len(centers)} centers")
             blocks.append(ClusterState(
                 centers_v=centers, soft_sim=None,
                 assignment=HardAssignment(cols, weights, m=len(centers)),
-                heads=len(cols), grid_hw=need_hw(f"{btag}/grid_hw")))
+                heads=len(cols), grid_hw=grid))
         states.append(blocks)
     pools = []
     for k in range(num_stages - 1):

@@ -38,15 +38,12 @@ def make_grid(h: int, w: int, dtype=T.F32) -> np.ndarray:
 
 
 @dataclass
-class PatchEmbedParams:
+class PatchEmbedParams(T.ParamSet):
     """Stem parameters: 4x4x5 patch projection plus the positional kernel."""
 
     weight: T.Parameter  # (d, 4, 4, 5)
     bias: T.Parameter    # (d,)
     dw: T.Parameter      # (3, 3, d)
-
-    def params(self) -> list[T.Parameter]:
-        return [self.weight, self.bias, self.dw]
 
 
 def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,

@@ -10,7 +10,7 @@ autodiff graph; composite modules chain these closures explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -18,7 +18,10 @@ from scipy import special
 from .errors import DimensionError, ConfigError
 
 F32 = np.float32
-F64 = np.float64
+#: norm floor of cosine_sim; below it a row's norm is a stop-gradient constant.
+COSINE_EPS = 1e-6
+#: variance offset of layer_norm.
+LAYER_NORM_EPS = 1e-5
 
 
 def map_shape(x: np.ndarray, where: str) -> tuple[int, int, int, int]:
@@ -64,6 +67,23 @@ class Parameter:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+@dataclass
+class ParamSet:
+    """Dataclass base: ``params()`` lists the ``Parameter`` fields in declaration
+    order, expanding nested ParamSets in place and skipping ``None``. Checkpoint
+    entries follow this order. Sizes are properties read from the arrays."""
+
+    def params(self) -> list[Parameter]:
+        out = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Parameter):
+                out.append(v)
+            elif isinstance(v, ParamSet):
+                out.extend(v.params())
+        return out
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=F32) -> np.ndarray:
@@ -119,33 +139,23 @@ def gelu(x: np.ndarray):
     return y.astype(x.dtype, copy=False), backward
 
 
-def identity_act(x: np.ndarray):
-    """Pass-through activation (test hook for composition identities)."""
-    return x, lambda dy: dy
-
-
-ACTIVATIONS = {"gelu": gelu, "identity": identity_act}
+# Only cluebench/spans.py reads this table; mlp2 calls gelu directly.
+ACTIVATIONS = {"gelu": gelu}
 
 
 @dataclass
-class Mlp2Params:
-    """Two-layer perceptron parameters: linear -> activation -> linear."""
+class Mlp2Params(ParamSet):
+    """Two-layer perceptron parameters: linear -> GELU -> linear."""
 
     w1: Parameter
     b1: Parameter
     w2: Parameter
     b2: Parameter
-    act: str = "gelu"
-
-    def params(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 def mlp2(x: np.ndarray, p: Mlp2Params):
-    if p.act not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation tag {p.act!r}")
     h, back1 = linear(x, p.w1, p.b1)
-    a, back_act = ACTIVATIONS[p.act](h)
+    a, back_act = gelu(h)
     y, back2 = linear(a, p.w2, p.b2)
 
     def backward(dy: np.ndarray) -> np.ndarray:
@@ -235,20 +245,20 @@ def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
     return y, backward
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray, eps: float = 1e-6):
+def cosine_sim(a: np.ndarray, b: np.ndarray):
     """Pairwise cosine similarity between row sets.
 
     ``a`` is (..., m, d) and ``b`` is (..., n, d); the result is (..., m, n).
-    Norms are floored at ``eps``; the floor is a stop-gradient region.
+    Norms are floored at ``COSINE_EPS``; the floor is a stop-gradient region.
     """
     if a.shape[-1] != b.shape[-1]:
         raise DimensionError(f"cosine_sim: feature widths differ ({a.shape[-1]} vs {b.shape[-1]})")
     na = np.linalg.norm(a, axis=-1, keepdims=True)
     nb = np.linalg.norm(b, axis=-1, keepdims=True)
-    mask_a = na > eps
-    mask_b = nb > eps
-    na = np.maximum(na, eps)
-    nb = np.maximum(nb, eps)
+    mask_a = na > COSINE_EPS
+    mask_b = nb > COSINE_EPS
+    na = np.maximum(na, COSINE_EPS)
+    nb = np.maximum(nb, COSINE_EPS)
     ah = a / na
     bh = b / nb
     out = ah @ np.swapaxes(bh, -1, -2)
@@ -263,12 +273,12 @@ def cosine_sim(a: np.ndarray, b: np.ndarray, eps: float = 1e-6):
     return out.astype(a.dtype, copy=False), backward
 
 
-def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter, eps: float = 1e-5):
+def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
     """Channel LayerNorm: per-position mean/variance over the last axis."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + LAYER_NORM_EPS)
     xh = xc / s
     y = xh * gamma.value + beta.value
 

@@ -327,7 +327,7 @@ def test_dispatch_shared_center_equal_increments():
 
 @pytest.mark.parametrize("col", [5, -1])
 def test_dispatch_dangling_index(col):
-    with pytest.raises(RuntimeError, match=f"center {col} of 2"):
+    with pytest.raises(ConfigError, match=f"center {col} of 2"):
         gfc.dispatch(np.zeros((1, 2, 3)), _toy_assignment([[[col, 0]]], [[[0.5, 0.5]]]),
                      np.zeros((1, 1, 2, 4)), param("fc", np.zeros((3, 4))),
                      param("b", np.zeros(3)))

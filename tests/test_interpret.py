@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cluenet import gfc, icp, interpret
-from cluenet.errors import FormatError
+from cluenet import container, gfc, icp, interpret
+from cluenet.errors import ConfigError, DimensionError, FormatError
 
 
 def _state(m, n):
@@ -42,6 +42,7 @@ BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
     "weights of 2 heads for 1": ("assignment", "weights", np.ones((2, 4), np.float32)),
     "image is not stage 1's map times the patch": ("trace", "image_hw", (8, 12)),
     "map size of 3 values": ("trace", "stage_hw", [(2, 2, 1), (2, 2)]),
+    "3x3 center grid for 2 centers": ("state", "grid_hw", (3, 3)),
 }
 
 
@@ -49,7 +50,8 @@ BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
 def test_read_trace_rejects_malformed_trace(tmp_path, bad):
     trace = _two_stage_trace()
     part, name, value = BAD_TRACES[bad]
-    parts = {"trace": trace, "pool": trace.pools[0], "assignment": trace.states[1][0].assignment}
+    state = trace.states[1][0]
+    parts = {"trace": trace, "pool": trace.pools[0], "state": state, "assignment": state.assignment}
     setattr(parts[part], name, value)
     path = tmp_path / "t.clue"
     interpret.write_trace(path, trace)
@@ -57,10 +59,29 @@ def test_read_trace_rejects_malformed_trace(tmp_path, bad):
         interpret.read_trace(path)
 
 
+@pytest.mark.parametrize("key", ["patch", "num_stages", "stage1/num_blocks"])
+def test_read_trace_rejects_empty_count_entry(tmp_path, key):
+    path = tmp_path / "t.clue"
+    interpret.write_trace(path, _two_stage_trace())
+    entries = container.read_container(path)
+    entries[key] = np.zeros(0, I32)
+    container.write_container(path, entries)
+    with pytest.raises(FormatError, match=key):
+        interpret.read_trace(path)
+
+
 def test_read_ppm_bad_size_line(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P6\nfoo bar\n255\n")
     with pytest.raises(FormatError):
+        interpret.read_ppm(path)
+
+
+def test_read_ppm_negative_size(tmp_path):
+    """-1 x -1 x 3 is the 3-byte payload's size, so only the sign shows the fault."""
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(b"P6\n-1 -1\n255\n" + bytes(3))
+    with pytest.raises(FormatError, match="negative"):
         interpret.read_ppm(path)
 
 
@@ -166,14 +187,14 @@ def test_receptive_field_of_empty_pool_cluster_is_empty():
 @pytest.mark.parametrize("stage", [-1, 3, 5])
 def test_cluster_receptive_field_rejects_bad_stage(stage):
     trace = _random_trace(0)
-    with pytest.raises(ValueError, match="stage"):
+    with pytest.raises(ConfigError, match="stage"):
         interpret.cluster_receptive_field(trace, stage, 4, 0)
-    with pytest.raises(ValueError, match="stage"):
+    with pytest.raises(ConfigError, match="stage"):
         interpret.receptive_field(trace, stage, 0)
 
 
 def test_cluster_receptive_field_rejects_bad_stage_on_two_stage_trace():
-    with pytest.raises(ValueError, match="stage 5"):
+    with pytest.raises(ConfigError, match="stage 5"):
         interpret.cluster_receptive_field(_two_stage_trace(), 5, 0, 0)
 
 
@@ -252,14 +273,14 @@ def test_render_overlay_accepts_only_empty_sets(tmp_path):
 @pytest.mark.parametrize("pixel", [-1, 64, 100])
 def test_render_overlay_rejects_out_of_bounds_pixel(tmp_path, pixel):
     sets = [np.array([0, 9]), np.array([18, pixel])]
-    with pytest.raises(ValueError, match=rf"pixel {pixel} outside 8x8"):
+    with pytest.raises(ConfigError, match=rf"pixel {pixel} outside 8x8"):
         interpret.render_overlay(np.zeros((8, 8, 3)), sets, interpret.OverlaySpec(),
                                  tmp_path / "o.ppm")
     assert not (tmp_path / "o.ppm").exists()
 
 
 def test_render_overlay_rejects_row_col_tuples(tmp_path):
-    with pytest.raises(ValueError, match="flat pixel indices"):
+    with pytest.raises(DimensionError, match="flat pixel indices"):
         interpret.render_overlay(np.zeros((8, 8, 3)), [{(0, 0), (1, 1)}],
                                  interpret.OverlaySpec(), tmp_path / "o.ppm")
     assert not (tmp_path / "o.ppm").exists()
@@ -316,5 +337,5 @@ def test_canonical_labels_number_groups_by_first_appearance():
 
 @pytest.mark.parametrize("k", [0, -1, 6])
 def test_kmeans_k_out_of_range(k):
-    with pytest.raises(ValueError, match="k must be"):
+    with pytest.raises(ConfigError, match="k must be"):
         interpret.kmeans_merge(np.random.default_rng(0).standard_normal((5, 2)), k=k)
