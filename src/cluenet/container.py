@@ -127,4 +127,7 @@ def unpack_text(arr: np.ndarray) -> str:
     body = raw[8:]
     if fnv1a64(body) != stored:
         raise FormatError("text entry hash mismatch (corrupt config block)")
-    return body.decode("utf-8")
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"text entry is not UTF-8 ({exc})") from exc

@@ -332,51 +332,41 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     bsz, hh, ww, d = T.map_shape(x, "gfc block")
     if d != p.d:
         raise DimensionError(f"block expects width {p.d}, got {d}")
+    if p.owns_assignment == (shared is not None):
+        raise ConfigError("a block takes a shared assignment exactly when it has no query parameters")
     n = hh * ww
     heads, dp = p.heads, p.dp
-    dh = dp // heads
     gh, gw = p.grid_hw
-    m = gh * gw
+    if shared is not None and (shared.cols.shape != (bsz, heads, n) or shared.m != gh * gw):
+        raise ConfigError(f"shared assignment shape {shared.cols.shape}/m={shared.m} does not "
+                          f"match block ({bsz},{heads},{n})/m={gh * gw}")
+    to_heads = lambda a: split_heads(a.reshape(bsz, n, dp), heads)    # (B,H,W,d') -> (B,M,n,dh)
+    to_map = lambda a_h: merge_heads(a_h).reshape(bsz, hh, ww, dp)   # (B,M,n,dh) -> (B,H,W,d')
 
     xn, back_norm1 = T.layer_norm(x, p.norm1_g, p.norm1_b)
     if p.w_s is not None:    # only aggregation and the block's own assignment read p_s
-        ps_map, back_ws = T.linear(xn, p.w_s, p.b_s)     # (B,H,W,d')
-        ps_h = split_heads(ps_map.reshape(bsz, n, dp), heads)   # (B,M,n,dh)
+        ps_map, back_ws = T.linear(xn, p.w_s, p.b_s)
     pv_map, back_wv = T.linear(xn, p.w_v, p.b_v)
-    pv_h = split_heads(pv_map.reshape(bsz, n, dp), heads)
     cv0, back_pool_v = init_centers(pv_map, gh, gw)          # (B,m,d')
 
-    s_c = None
+    s_c, cvt = None, cv0
     if p.flags.fa:
         cs0, back_pool_s = init_centers(ps_map, gh, gw)
-        cs_h = split_heads(cs0, heads)
-        if p.flags.tcos:
-            tau_nat = float(np.exp(p.tau_raw.value))
-            tau = max(tau_nat, TAU_MIN)
-        else:
-            tau = math.sqrt(dh)
-        agg_h, s_c, back_agg = soft_aggregate(cs_h, ps_h, pv_h, tau, cosine=p.flags.tcos)
+        # sqrt(dh) >= 1, so the clamp only ever acts on a learned temperature
+        tau_nat = float(np.exp(p.tau_raw.value)) if p.flags.tcos else math.sqrt(dp // heads)
+        tau = max(tau_nat, TAU_MIN)
+        agg_h, s_c, back_agg = soft_aggregate(
+            split_heads(cs0, heads), to_heads(ps_map), to_heads(pv_map), tau, cosine=p.flags.tcos)
         cvt, back_fuse = gated_fuse(cv0, merge_heads(agg_h), p.gate)
-    else:
-        cvt = cv0
 
+    assign = shared
     if p.owns_assignment:
-        if shared is not None:
-            raise ConfigError("block owns its assignment but was given a shared one")
         q_h, back_q = project_queries(cvt, p.w_q, heads)
         assign, back_assign = compute_assignment(
-            ps_h, q_h, float(p.alpha.value), float(p.beta.value))
-    else:
-        if shared is None:
-            raise ConfigError("block has no query parameters and no shared assignment")
-        if shared.cols.shape != (bsz, heads, n) or shared.m != m:
-            raise ConfigError(
-                f"shared assignment shape {shared.cols.shape}/m={shared.m} does not match "
-                f"block ({bsz},{heads},{n})/m={m}")
-        assign = shared
+            to_heads(ps_map), q_h, float(p.alpha.value), float(p.beta.value))
 
-    cvt_h = split_heads(cvt, heads)                  # (B,M,m,dh)
-    y1_flat, back_disp = dispatch(x.reshape(bsz, n, d), assign, cvt_h, p.fc_out, p.b_out)
+    y1_flat, back_disp = dispatch(x.reshape(bsz, n, d), assign, split_heads(cvt, heads),
+                                  p.fc_out, p.b_out)
     y1 = y1_flat.reshape(bsz, hh, ww, d)
 
     y1n, back_norm2 = T.layer_norm(y1, p.norm2_g, p.norm2_b)
@@ -391,44 +381,34 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
 
     def backward(dy: np.ndarray, d_shared: np.ndarray | None = None):
         d_y1 = dy + back_norm2(back_f1(back_posr(back_act(back_f2(dy)))))
-
         d_p, d_weights, d_cvt_h = back_disp(d_y1.reshape(bsz, n, d))
         d_cvt = merge_heads(d_cvt_h)
-        dx = d_p.reshape(bsz, hh, ww, d)
 
-        d_ps_h = np.zeros_like(ps_h) if p.w_s is not None else None
-        d_pv_h = np.zeros_like(pv_h)
+        # one map gradient per reader of p_s (and of p_v), in the order backward reaches them
+        d_ps, d_pv = [], []
         if p.owns_assignment:
             if d_shared is not None:
                 d_weights = d_weights + d_shared
             d_ps_a, d_q_h, d_alpha, d_beta = back_assign(d_weights)
             p.alpha.add_grad(np.asarray(d_alpha, dtype=p.alpha.value.dtype))
             p.beta.add_grad(np.asarray(d_beta, dtype=p.beta.value.dtype))
-            d_ps_h += d_ps_a
+            d_ps.append(to_map(d_ps_a))
             d_cvt = d_cvt + back_q(d_q_h)
 
+        d_cv0 = d_cvt
         if p.flags.fa:
             d_cv0, d_agg = back_fuse(d_cvt)
-            d_agg_h = split_heads(d_agg, heads)
-            d_cs_h, d_ps_a, d_pv_a, d_tau = back_agg(d_agg_h)
+            d_cs_h, d_ps_a, d_pv_a, d_tau = back_agg(split_heads(d_agg, heads))
             if p.flags.tcos and tau_nat > TAU_MIN:  # inside the clamp the temperature is constant
                 p.tau_raw.add_grad(np.asarray(d_tau * tau_nat, dtype=p.tau_raw.value.dtype))
-            d_ps_h += d_ps_a
-            d_pv_h += d_pv_a
-            d_ps_map = merge_heads(d_ps_h).reshape(ps_map.shape) + back_pool_s(merge_heads(d_cs_h))
-        else:
-            d_cv0 = d_cvt
-            if p.w_s is not None:
-                d_ps_map = merge_heads(d_ps_h).reshape(ps_map.shape)
+            d_ps += [to_map(d_ps_a), back_pool_s(merge_heads(d_cs_h))]
+            d_pv.append(to_map(d_pv_a))
 
-        d_pv_map = merge_heads(d_pv_h).reshape(pv_map.shape) + back_pool_v(d_cv0)
-        d_xn = back_wv(d_pv_map)
-        if p.w_s is not None:
-            d_xn = back_ws(d_ps_map) + d_xn
-        dx = dx + back_norm1(d_xn)
-        if p.owns_assignment:
-            return dx
-        return dx, d_weights
+        d_xn = back_wv(sum(d_pv + [back_pool_v(d_cv0)]))
+        if d_ps:             # empty exactly when the block has no w_s
+            d_xn = back_ws(sum(d_ps)) + d_xn
+        dx = d_p.reshape(bsz, hh, ww, d) + back_norm1(d_xn)
+        return dx if p.owns_assignment else (dx, d_weights)
 
     return y, state, backward
 

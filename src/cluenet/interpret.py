@@ -117,6 +117,8 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     labeling and k == 1 all zeros.
     """
     centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2:
+        raise DimensionError(f"kmeans_merge: centers must be (m, c), got shape {centers.shape}")
     m = centers.shape[0]
     if not 1 <= k <= m:
         raise ConfigError(f"k must be in [1,{m}], got {k}")
@@ -224,6 +226,8 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     if not 0.0 <= spec.alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0,1], got {spec.alpha}")
     img = np.asarray(image)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise DimensionError(f"render_overlay: image must be (H, W, 3), got shape {img.shape}")
     if img.dtype == np.uint8:
         base = img.astype(np.float64) / 255.0
     else:

@@ -136,7 +136,7 @@ def gelu(x: np.ndarray):
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return dy * (cdf + x * pdf)
 
-    return y.astype(x.dtype, copy=False), backward
+    return y, backward
 
 
 # Only cluebench/spans.py reads this table; mlp2 calls gelu directly.
@@ -168,7 +168,6 @@ def sigmoid(x: np.ndarray):
     # Stable in both tails: exp of a non-positive argument only.
     e = np.exp(-np.abs(x))
     y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    y = y.astype(x.dtype, copy=False)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         return dy * y * (1.0 - y)
@@ -181,7 +180,6 @@ def softmax(x: np.ndarray):
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    y = y.astype(x.dtype, copy=False)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         inner = (dy * y).sum(axis=-1, keepdims=True)
@@ -216,8 +214,7 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
 
     def backward(dy: np.ndarray) -> np.ndarray:
         kernel.add_grad(np.einsum("buvchw,bhwc->uvc", x_taps, dy))
-        dx = np.einsum("buvchw,uvc->bhwc", taps(dy), kernel.value[::-1, ::-1])
-        return dx.astype(x_taps.dtype, copy=False)     # x_taps: the closure keeps no x
+        return np.einsum("buvchw,uvc->bhwc", taps(dy), kernel.value[::-1, ::-1])
 
     return y, backward
 
@@ -268,9 +265,9 @@ def cosine_sim(a: np.ndarray, b: np.ndarray):
         da = (dout @ bh - mask_a * np.sum(dout * out, axis=-1, keepdims=True) * ah) / na
         dt = np.swapaxes(dout, -1, -2)
         db = (dt @ ah - mask_b * np.sum(dt * np.swapaxes(out, -1, -2), axis=-1, keepdims=True) * bh) / nb
-        return da.astype(a.dtype, copy=False), db.astype(b.dtype, copy=False)
+        return da, db
 
-    return out.astype(a.dtype, copy=False), backward
+    return out, backward
 
 
 def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
@@ -291,5 +288,5 @@ def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
         m2 = (gdy * xh).mean(axis=-1, keepdims=True)
         return (gdy - m1 - xh * m2) / s
 
-    return y.astype(x.dtype, copy=False), backward
+    return y, backward
 

@@ -1,5 +1,7 @@
 """Round-trip and corruption handling for the binary tensor container."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,13 @@ def test_text_hash_detects_tamper():
     arr = C.pack_text("alpha=1\n").copy()
     arr[-1] ^= 0xFF
     with pytest.raises(FormatError):
+        C.unpack_text(arr)
+
+
+def test_text_non_utf8_body_with_valid_hash():
+    body = b"\xff\xfe"
+    arr = np.frombuffer(struct.pack("<Q", C.fnv1a64(body)) + body, dtype=np.uint8)
+    with pytest.raises(FormatError, match="not UTF-8"):
         C.unpack_text(arr)
 
 

@@ -356,8 +356,8 @@ def dispatch_scatter_oracle(cols, d_sel, m, dtype):
 
 
 def test_dispatch_center_gradient_matches_scatter_oracle():
-    # The model's first stage: float32 centers, float64 gradient from the
-    # stages after the float64-promoting pool.
+    # float32 centers under a float64 gradient: the center gradient must
+    # still come back in the centers' dtype.
     rng = np.random.default_rng(23)
     bsz, heads, n, m, dh = 2, 2, 40, 5, 3
     centers = rng.normal(size=(bsz, heads, m, dh)).astype(np.float32)
@@ -415,11 +415,16 @@ def test_block_shared_shape_mismatch():
         gfc.gfc_block_forward(x, p2, shared=bad)
 
 
-def test_block_consumer_without_assignment():
+@pytest.mark.parametrize("owns", [False, True],
+                         ids=["consumer_without_shared", "owner_with_shared"])
+def test_block_consumer_without_assignment(owns):
+    """A block takes a shared assignment exactly when it has no query parameters."""
     rng = np.random.default_rng(26)
-    p2 = toy_block(rng, owns=False)
+    x = rng.normal(size=(1, 4, 4, 8))
+    _, st, _ = gfc.gfc_block_forward(x, toy_block(rng))
+    shared = st.assignment if owns else None
     with pytest.raises(ConfigError):
-        gfc.gfc_block_forward(rng.normal(size=(1, 4, 4, 8)), p2)
+        gfc.gfc_block_forward(x, toy_block(rng, owns=owns), shared=shared)
 
 
 def test_block_single_vs_dual_head_duplication():
@@ -497,6 +502,19 @@ def test_block_grad_matches_fd_reduced_flags():
     x0 = rng.normal(size=(1, 3, 3, 4))
     _block_fd(lambda x: gfc.gfc_block_forward(x, p), x0,
               np.random.default_rng(0).normal(size=x0.shape), p.params())
+
+
+def test_block_clamped_temperature_gets_no_gradient():
+    """Below TAU_MIN the clamp holds the temperature constant: tau_raw gets no
+    gradient, in agreement with finite differences, and every other parameter does."""
+    rng = np.random.default_rng(35)
+    p = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2)), rng)
+    p.tau_raw.value = np.asarray(math.log(gfc.TAU_MIN / 2))
+    x0 = rng.normal(size=(1, 3, 3, 4))
+    grad_check(lambda x: gfc.gfc_block_forward(x, p), [x0],
+               np.random.default_rng(0).normal(size=x0.shape), params=p.params(), tol=1e-4)
+    assert p.tau_raw.grad is None
+    assert [q.name for q in p.params() if q is not p.tau_raw and not np.any(q.grad)] == []
 
 
 def two_block_stage(x, p1, p2):

@@ -286,6 +286,14 @@ def test_render_overlay_rejects_row_col_tuples(tmp_path):
     assert not (tmp_path / "o.ppm").exists()
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4), (4, 4, 3, 1)])
+def test_render_overlay_rejects_non_rgb_image(tmp_path, shape):
+    with pytest.raises(DimensionError, match=r"\(H, W, 3\)"):
+        interpret.render_overlay(np.zeros(shape), [{0}], interpret.OverlaySpec(),
+                                 tmp_path / "o.ppm")
+    assert not (tmp_path / "o.ppm").exists()
+
+
 def hsv_byte_oracle(h, s, v):
     """Hand-written HSV -> RGB byte conversion, the reference for default_palette."""
     i = int(h * 6.0) % 6
@@ -339,3 +347,9 @@ def test_canonical_labels_number_groups_by_first_appearance():
 def test_kmeans_k_out_of_range(k):
     with pytest.raises(ConfigError, match="k must be"):
         interpret.kmeans_merge(np.random.default_rng(0).standard_normal((5, 2)), k=k)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
+def test_kmeans_rejects_non_matrix_centers(shape):
+    with pytest.raises(DimensionError, match=r"\(m, c\)"):
+        interpret.kmeans_merge(np.zeros(shape), k=1)
