@@ -39,7 +39,8 @@ class BlockFlags:
     fa:   feature aggregation — soft attention + gated fusion updates the
           centers; off leaves centers at their grid-pooled initialization.
     tcos: temperature-scaled cosine attention; off falls back to dot-product
-          attention scaled by 1/sqrt(head width).
+          attention scaled by 1/sqrt(head width). It acts only with fa:
+          GfcParams.flags reports tcos=False for a block without a gate.
     """
 
     fa: bool = True
@@ -243,13 +244,12 @@ class ClusterState:
 @dataclass
 class GfcParams(T.ParamSet):
     """Everything one block owns. tau_raw and gate are absent when the flags
-    switch them off, w_q/alpha/beta when the block consumes a shared
-    assignment, and w_s/b_s when it does both (nothing reads the similarity
-    projection then)."""
+    switch them off (``flags`` is read back from them), w_q/alpha/beta when
+    the block consumes a shared assignment, and w_s/b_s when it does both
+    (nothing reads the similarity projection then)."""
 
     heads: int
     grid_hw: tuple[int, int]
-    flags: BlockFlags
     norm1_g: T.Parameter
     norm1_b: T.Parameter
     w_s: T.Parameter | None
@@ -274,6 +274,7 @@ class GfcParams(T.ParamSet):
     d = property(lambda self: self.norm1_g.shape[0])
     dp = property(lambda self: self.w_v.shape[0])
     owns_assignment = property(lambda self: self.w_q is not None)
+    flags = property(lambda self: BlockFlags(self.gate is not None, self.tau_raw is not None))
 
 
 def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
@@ -302,7 +303,7 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     hidden = FFN_EXPANSION * d
     uses_s = flags.fa or owns_assignment
     return GfcParams(
-        heads=heads, grid_hw=grid_hw, flags=flags,
+        heads=heads, grid_hw=grid_hw,
         norm1_g=const("norm1_g", np.ones(d)), norm1_b=zeros("norm1_b", (d,)),
         w_s=tn("w_s", (dp, d)) if uses_s else None,
         b_s=zeros("b_s", (dp,)) if uses_s else None,
@@ -334,6 +335,8 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         raise DimensionError(f"block expects width {p.d}, got {d}")
     if p.owns_assignment == (shared is not None):
         raise ConfigError("a block takes a shared assignment exactly when it has no query parameters")
+    if p.tau_raw is not None and p.gate is None:
+        raise ConfigError("a block has a temperature only with a gate")
     n = hh * ww
     heads, dp = p.heads, p.dp
     gh, gw = p.grid_hw
@@ -350,13 +353,13 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     cv0, back_pool_v = init_centers(pv_map, gh, gw)          # (B,m,d')
 
     s_c, cvt = None, cv0
-    if p.flags.fa:
+    if p.gate is not None:
         cs0, back_pool_s = init_centers(ps_map, gh, gw)
         # sqrt(dh) >= 1, so the clamp only ever acts on a learned temperature
-        tau_nat = float(np.exp(p.tau_raw.value)) if p.flags.tcos else math.sqrt(dp // heads)
-        tau = max(tau_nat, TAU_MIN)
-        agg_h, s_c, back_agg = soft_aggregate(
-            split_heads(cs0, heads), to_heads(ps_map), to_heads(pv_map), tau, cosine=p.flags.tcos)
+        cosine = p.tau_raw is not None
+        tau_nat = float(np.exp(p.tau_raw.value)) if cosine else math.sqrt(dp // heads)
+        agg_h, s_c, back_agg = soft_aggregate(split_heads(cs0, heads), to_heads(ps_map),
+                                              to_heads(pv_map), max(tau_nat, TAU_MIN), cosine)
         cvt, back_fuse = gated_fuse(cv0, merge_heads(agg_h), p.gate)
 
     assign = shared
@@ -396,10 +399,10 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
             d_cvt = d_cvt + back_q(d_q_h)
 
         d_cv0 = d_cvt
-        if p.flags.fa:
+        if p.gate is not None:
             d_cv0, d_agg = back_fuse(d_cvt)
             d_cs_h, d_ps_a, d_pv_a, d_tau = back_agg(split_heads(d_agg, heads))
-            if p.flags.tcos and tau_nat > TAU_MIN:  # inside the clamp the temperature is constant
+            if cosine and tau_nat > TAU_MIN:  # inside the clamp the temperature is constant
                 p.tau_raw.add_grad(np.asarray(d_tau * tau_nat, dtype=p.tau_raw.value.dtype))
             d_ps += [to_map(d_ps_a), back_pool_s(merge_heads(d_cs_h))]
             d_pv.append(to_map(d_pv_a))

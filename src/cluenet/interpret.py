@@ -57,21 +57,6 @@ def _pixel_labels(trace: TraceBundle, stage: int) -> np.ndarray:
     return owner.reshape(h0, w0).repeat(trace.patch, axis=0).repeat(trace.patch, axis=1)
 
 
-def receptive_field(trace: TraceBundle, stage: int, point: int) -> np.ndarray:
-    """Image pixels feeding feature point ``point`` of ``stage`` (0-based).
-
-    ``point`` is the flat row-major index into the stage map. The result is
-    the patch blocks of the stage-0 points that the composed owner map
-    sends to ``point``, as ascending flat pixel indices.
-    """
-    if not 0 <= stage < len(trace.stage_hw):
-        raise ConfigError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
-    hh, ww = trace.stage_hw[stage]
-    if not 0 <= point < hh * ww:
-        raise ConfigError(f"point {point} out of range for a {hh}x{ww} map")
-    return np.flatnonzero(_pixel_labels(trace, stage) == point)
-
-
 def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
                             head: int, block: int = 0) -> np.ndarray:
     """Image pixels feeding the points of ``stage`` assigned to ``cluster``.
@@ -162,6 +147,8 @@ _BASE_PALETTE = [
     (245, 130, 48), (145, 30, 180), (70, 240, 240), (240, 50, 230),
     (210, 245, 60), (250, 190, 190), (0, 128, 128), (230, 190, 255),
 ]
+#: weight of a set's color over the image pixels it covers.
+OVERLAY_ALPHA = 0.5
 
 
 def default_palette(count: int) -> list[tuple[int, int, int]]:
@@ -180,15 +167,14 @@ class OverlaySpec:
     """Rendering options for cluster maps."""
 
     palette: list[tuple[int, int, int]] = field(default_factory=lambda: list(_BASE_PALETTE))
-    alpha: float = 0.5
     outline: bool = False
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
     """Write (H, W, 3) uint8 pixels as binary PPM (P6, maxval 255)."""
-    h, w, c = pixels.shape
-    if c != 3 or pixels.dtype != np.uint8:
-        raise DimensionError("write_ppm expects (H, W, 3) uint8")
+    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
+        raise DimensionError(f"write_ppm expects (H, W, 3) uint8, got {pixels.shape} {pixels.dtype}")
+    h, w, _ = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
@@ -221,10 +207,9 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     array or a set of ints, each a flat index ``r * W + c``; a later set wins
     where two overlap. Returns the rendered uint8 array (also written to ``out_path``).
     """
-    if len(spec.palette) < len(pixel_sets):
-        raise ConfigError(f"palette has {len(spec.palette)} colors for {len(pixel_sets)} sets")
-    if not 0.0 <= spec.alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0,1], got {spec.alpha}")
+    palette = spec.palette[:len(pixel_sets)]
+    if len(palette) < len(pixel_sets) or any(np.shape(rgb) != (3,) for rgb in palette):
+        raise ConfigError(f"palette must give each of {len(pixel_sets)} sets an RGB triple")
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DimensionError(f"render_overlay: image must be (H, W, 3), got shape {img.shape}")
@@ -236,7 +221,7 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     out = base.copy()
     label = np.full((hh, ww), -1, dtype=np.int64)
     flat_base, flat_out, flat_label = base.reshape(-1, 3), out.reshape(-1, 3), label.reshape(-1)
-    colors = np.array(spec.palette[:len(pixel_sets)], dtype=np.float64).reshape(-1, 3) / 255.0
+    colors = np.array(palette, dtype=np.float64).reshape(-1, 3) / 255.0
     for idx, pset in enumerate(pixel_sets):
         pix = pset if isinstance(pset, np.ndarray) else np.array(list(pset), dtype=np.int64)
         if pix.ndim != 1 or pix.dtype.kind not in "iu":
@@ -244,7 +229,7 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
         bad = np.flatnonzero((pix < 0) | (pix >= hh * ww))
         if bad.size:
             raise ConfigError(f"pixel {pix[bad[0]]} outside {hh}x{ww} image")
-        flat_out[pix] = (1.0 - spec.alpha) * flat_base[pix] + spec.alpha * colors[idx]
+        flat_out[pix] = (1.0 - OVERLAY_ALPHA) * flat_base[pix] + OVERLAY_ALPHA * colors[idx]
         flat_label[pix] = idx
     if spec.outline:
         # a labelled pixel with a differently labelled 4-neighbour takes its own color

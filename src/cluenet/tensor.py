@@ -52,9 +52,6 @@ class Parameter:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.value)
-
     def add_grad(self, g: np.ndarray) -> None:
         if g.shape != self.value.shape:
             raise DimensionError(
@@ -64,9 +61,6 @@ class Parameter:
             self.grad = g.astype(self.value.dtype, copy=True)
         else:
             self.grad += g
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
 @dataclass

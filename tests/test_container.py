@@ -103,6 +103,13 @@ def test_unsupported_write_dtype(tmp_path):
         C.write_container(tmp_path / "t.clue", {"x": np.ones(2, dtype=np.int64)})
 
 
+def test_entry_name_over_65535_bytes_rejected(tmp_path):
+    """The name length is a u16; a longer name would wrap and corrupt the file."""
+    C.write_container(tmp_path / "ok.clue", {"x" * 0xFFFF: np.zeros(1, np.float32)})
+    with pytest.raises(FormatError, match="entry name too long"):
+        C.write_container(tmp_path / "t.clue", {"x" * 0x10000: np.zeros(1, np.float32)})
+
+
 def test_fnv1a64_known_vectors():
     # Reference values for the 64-bit FNV-1a offset basis and prime.
     assert C.fnv1a64(b"") == 0xCBF29CE484222325
@@ -122,6 +129,12 @@ def test_text_hash_detects_tamper():
     arr[-1] ^= 0xFF
     with pytest.raises(FormatError):
         C.unpack_text(arr)
+
+
+@pytest.mark.parametrize("size", [0, 7])
+def test_text_entry_shorter_than_its_header(size):
+    with pytest.raises(FormatError, match="text entry shorter than its hash header"):
+        C.unpack_text(np.zeros(size, dtype=np.uint8))
 
 
 def test_text_non_utf8_body_with_valid_hash():

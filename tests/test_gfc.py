@@ -8,7 +8,7 @@ import pytest
 
 from cluenet import gfc
 from cluenet import tensor as T
-from cluenet.errors import ConfigError
+from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check
 
 F64 = np.float64
@@ -198,6 +198,11 @@ def test_fuse_grad_matches_fd():
     grad_check(lambda cv, ca: gfc.gated_fuse(cv, ca, gate),
                [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))], w,
                params=gate.params(), tol=1e-6)
+
+
+def test_fuse_rejects_operands_of_different_shapes():
+    with pytest.raises(DimensionError, match="gated_fuse: operand shapes differ"):
+        gfc.gated_fuse(np.zeros((4, 3)), np.zeros((5, 3)), _zero_gate(3))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +470,8 @@ def test_block_fa_off_equals_saturated_gate():
     for q in p_on.gate.params():
         q.value = np.zeros_like(q.value)
     p_on.gate.b2.value = np.array([40.0])   # g -> 1: fused centers -> pooled centers
-    p_off = dataclasses.replace(p_on, flags=gfc.BlockFlags(fa=False),
-                                tau_raw=None, gate=None)
+    p_off = dataclasses.replace(p_on, tau_raw=None, gate=None)
+    assert p_off.flags == gfc.BlockFlags(fa=False, tcos=False)
     x = rng.normal(size=(1, 4, 4, 8))
     y_on, st_on, _ = gfc.gfc_block_forward(x, p_on)
     y_off, st_off, _ = gfc.gfc_block_forward(x, p_off)
@@ -479,6 +484,53 @@ def live(p, rng):
     for q in (p.fc_out, p.ffn_w2):
         q.value = T.trunc_normal(rng, q.shape, 0.2, F64)
     return p
+
+
+@pytest.mark.parametrize("fa", [True, False])
+@pytest.mark.parametrize("tcos", [True, False])
+def test_block_flags_are_read_from_its_parameters(fa, tcos):
+    """flags is not a stored field: it says which of gate and tau_raw the
+    block holds, so a block without a gate reports tcos=False."""
+    p = toy_block(np.random.default_rng(36), flags=gfc.BlockFlags(fa, tcos))
+    assert "flags" not in [f.name for f in dataclasses.fields(gfc.GfcParams)]
+    assert p.flags == gfc.BlockFlags(fa=fa, tcos=fa and tcos)
+    assert (p.gate is not None, p.tau_raw is not None) == (fa, fa and tcos)
+
+
+def test_block_fa_off_ignores_tcos():
+    """Without aggregation tcos acts on nothing: both settings build the same
+    parameters and give bitwise the same output (three distinct blocks, not four)."""
+    blocks = [live(toy_block(np.random.default_rng(37), flags=gfc.BlockFlags(fa=False, tcos=t)),
+                   np.random.default_rng(38)) for t in (True, False)]
+    assert [(q.name, q.value.tobytes()) for q in blocks[0].params()] == \
+        [(q.name, q.value.tobytes()) for q in blocks[1].params()]
+    x = np.random.default_rng(39).normal(size=(1, 4, 4, 8))
+    y_t, y_f = (gfc.gfc_block_forward(x, p)[0] for p in blocks)
+    assert y_t.tobytes() == y_f.tobytes()
+
+
+def _run_block(x_width=8, **changes):
+    rng = np.random.default_rng(40)
+    p = dataclasses.replace(toy_block(rng), **changes)
+    return gfc.gfc_block_forward(rng.normal(size=(1, 4, 4, x_width)), p)
+
+
+BAD_BLOCKS = {   # id: (call, error class, fixed part of the message)
+    "clustering width 6 over 4 heads": (
+        lambda: toy_block(np.random.default_rng(0), dp=6, heads=4), ConfigError,
+        "clustering width 6 not divisible by 4 heads"),
+    "5-wide input to an 8-wide block": (
+        lambda: _run_block(x_width=5), DimensionError, "block expects width 8, got 5"),
+    "temperature without a gate": (
+        lambda: _run_block(gate=None), ConfigError, "a block has a temperature only with a gate"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_BLOCKS))
+def test_block_rejects_bad_configuration(bad):
+    call, error, message = BAD_BLOCKS[bad]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _block_fd(run, x0, w, plist):

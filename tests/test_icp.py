@@ -5,7 +5,7 @@ import pytest
 
 from cluenet import icp
 from cluenet import tensor as T
-from cluenet.errors import ConfigError
+from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check
 
 F64 = np.float64
@@ -173,6 +173,15 @@ def test_odd_extent_rejected():
         icp.icp_forward(np.zeros((1, 3, 4, 4)), p)
 
 
+@pytest.mark.parametrize("forward, make, where", [
+    (icp.icp_forward, icp.make_icp_params, "pool"),
+    (icp.linear_transition_forward, icp.make_linear_transition, "transition")])
+def test_input_width_mismatch_rejected(forward, make, where):
+    p = make(np.random.default_rng(18), 4, 6, dtype=F64)
+    with pytest.raises(DimensionError, match=f"{where} expects width 4, got 3"):
+        forward(np.zeros((1, 4, 4, 3)), p)
+
+
 def test_partition_is_exhaustive():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -245,17 +254,15 @@ def test_projf_gradient_alive_vs_dead():
         x = rng.normal(size=(1, 4, 4, 4))
         w = rng.normal(size=(1, 2, 2, 4))
 
-        for q in p.params():
-            q.zero_grad()
         out, _, back = icp.icp_forward(x, p)
         back(w)
         assert np.linalg.norm(p.proj_f.grad) > 1e-8
 
         for q in p.params():
-            q.zero_grad()
+            q.grad = None
         out2, _, back2 = fec_pool_oracle(x, p)
         back2(w)
-        assert np.all(p.proj_f.grad == 0.0)
+        assert p.proj_f.grad is None
 
 
 def test_fec_matches_icp_on_identity_wiring():

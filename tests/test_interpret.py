@@ -85,6 +85,43 @@ def test_read_ppm_negative_size(tmp_path):
         interpret.read_ppm(path)
 
 
+BAD_PPMS = {   # id: (file bytes, fixed part of the message)
+    "P5 magic": (b"P5\n1 1\n255\n" + bytes(1), "not a P6/255 PPM"),
+    "maxval 65535": (b"P6\n1 1\n65535\n" + bytes(6), "not a P6/255 PPM"),
+    "no payload line": (b"P6\n1 1\n255", "not a P6/255 PPM"),
+    "payload 1 byte short": (b"P6\n2 1\n255\n" + bytes(5), "payload size 5 != 6"),
+    "payload 1 byte long": (b"P6\n2 1\n255\n" + bytes(7), "payload size 7 != 6"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PPMS))
+def test_read_ppm_rejects_malformed_file(tmp_path, bad):
+    data, message = BAD_PPMS[bad]
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        interpret.read_ppm(path)
+
+
+@pytest.mark.parametrize("shape, dtype", [((4, 4), np.uint8), ((4, 4, 3, 1), np.uint8),
+                                          ((4, 4, 4), np.uint8), ((4, 4, 3), np.float64)])
+def test_write_ppm_rejects_non_rgb_bytes(tmp_path, shape, dtype):
+    with pytest.raises(DimensionError, match=r"write_ppm expects \(H, W, 3\) uint8"):
+        interpret.write_ppm(tmp_path / "o.ppm", np.zeros(shape, dtype=dtype))
+    assert not (tmp_path / "o.ppm").exists()
+
+
+@pytest.mark.parametrize("key", ["image_hw", "stage1/block1/centers", "stage1/pool/owner"])
+def test_read_trace_rejects_missing_entry(tmp_path, key):
+    path = tmp_path / "t.clue"
+    interpret.write_trace(path, _two_stage_trace())
+    entries = container.read_container(path)
+    del entries[key]
+    container.write_container(path, entries)
+    with pytest.raises(FormatError, match=f"trace missing entry '{key}'"):
+        interpret.read_trace(path)
+
+
 # ---------------------------------------------------------------------------
 # receptive fields against the per-point oracles
 # ---------------------------------------------------------------------------
@@ -154,11 +191,23 @@ def _assert_partition(trace, fields):
     np.testing.assert_array_equal(np.sort(np.concatenate(fields)), np.arange(h * w))
 
 
+def _point_trace(seed):
+    """_random_trace with the identity assignment in every head: cluster c of
+    a stage is its point c, so cluster fields are the points' fields."""
+    trace = _random_trace(seed)
+    for (st,), (hh, ww) in zip(trace.states, STAGE_HW):
+        n = hh * ww
+        st.assignment = gfc.HardAssignment(np.tile(np.arange(n, dtype=np.int32), (HEADS, 1)),
+                                           np.ones((HEADS, n), dtype=np.float32), m=n)
+    return trace
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_receptive_field_matches_oracle_and_partitions(seed):
-    trace = _random_trace(seed)
+    trace = _point_trace(seed)
     for stage, (hh, ww) in enumerate(STAGE_HW):
-        fields = [interpret.receptive_field(trace, stage, p) for p in range(hh * ww)]
+        fields = [interpret.cluster_receptive_field(trace, stage, p, HEADS - 1)
+                  for p in range(hh * ww)]
         assert [_pixels(trace, f) for f in fields] == \
             [receptive_field_oracle(trace, stage, p) for p in range(hh * ww)]
         _assert_partition(trace, fields)
@@ -179,9 +228,9 @@ def test_cluster_receptive_field_matches_oracle_and_partitions(seed):
 
 
 def test_receptive_field_of_empty_pool_cluster_is_empty():
-    trace = _random_trace(0)
+    trace = _point_trace(0)
     hh, ww = STAGE_HW[1]
-    assert interpret.receptive_field(trace, 1, hh * ww - 1).size == 0
+    assert interpret.cluster_receptive_field(trace, 1, hh * ww - 1, 0).size == 0
 
 
 @pytest.mark.parametrize("stage", [-1, 3, 5])
@@ -189,8 +238,19 @@ def test_cluster_receptive_field_rejects_bad_stage(stage):
     trace = _random_trace(0)
     with pytest.raises(ConfigError, match="stage"):
         interpret.cluster_receptive_field(trace, stage, 4, 0)
-    with pytest.raises(ConfigError, match="stage"):
-        interpret.receptive_field(trace, stage, 0)
+
+
+@pytest.mark.parametrize("cluster, head, block, message", [
+    (0, 0, 1, r"block 1 out of range \[0,1\)"),
+    (0, 0, -1, r"block -1 out of range"),
+    (0, HEADS, 0, rf"head {HEADS} out of range \[0,{HEADS}\)"),
+    (0, -1, 0, r"head -1 out of range"),
+    (5, 0, 0, r"cluster 5 out of range \[0,5\)"),
+    (-1, 0, 0, r"cluster -1 out of range"),
+])
+def test_cluster_receptive_field_rejects_bad_index(cluster, head, block, message):
+    with pytest.raises(ConfigError, match=message):
+        interpret.cluster_receptive_field(_random_trace(0), 1, cluster, head, block)
 
 
 def test_cluster_receptive_field_rejects_bad_stage_on_two_stage_trace():
@@ -211,10 +271,11 @@ def render_overlay_oracle(image, pixel_sets, spec):
     hh, ww = base.shape[:2]
     out = base.copy()
     label = np.full((hh, ww), -1, dtype=np.int64)
+    alpha = interpret.OVERLAY_ALPHA
     for idx, pset in enumerate(pixel_sets):
         color = np.array(spec.palette[idx], dtype=np.float64) / 255.0
         for (r, c) in pset:
-            out[r, c] = (1.0 - spec.alpha) * base[r, c] + spec.alpha * color
+            out[r, c] = (1.0 - alpha) * base[r, c] + alpha * color
             label[r, c] = idx
     if spec.outline:
         for idx in range(len(pixel_sets)):
@@ -251,8 +312,7 @@ def test_render_overlay_matches_per_pixel_oracle(tmp_path, outline, as_uint8):
     if as_uint8:
         image = np.clip(image * 255, 0, 255).astype(np.uint8)
     sets = _overlapping_sets()
-    spec = interpret.OverlaySpec(palette=interpret.default_palette(len(sets)),
-                                 alpha=0.37, outline=outline)
+    spec = interpret.OverlaySpec(palette=interpret.default_palette(len(sets)), outline=outline)
     path = tmp_path / "o.ppm"
     got = interpret.render_overlay(image, sets, spec, path)
     want = render_overlay_oracle(image, _row_col_sets(sets), spec)
@@ -265,9 +325,32 @@ def test_render_overlay_matches_per_pixel_oracle(tmp_path, outline, as_uint8):
 
 def test_render_overlay_accepts_only_empty_sets(tmp_path):
     image = np.full((8, 8, 3), 0.25)
+    want = np.full((8, 8, 3), 64, dtype=np.uint8).tobytes()
     got = interpret.render_overlay(image, [set(), np.empty(0, dtype=np.int64)],
                                    interpret.OverlaySpec(), tmp_path / "o.ppm")
-    assert got.tobytes() == np.full((8, 8, 3), 64, dtype=np.uint8).tobytes()
+    assert got.tobytes() == want
+    # no sets at all need no palette
+    got = interpret.render_overlay(image, [], interpret.OverlaySpec([], outline=True),
+                                   tmp_path / "none.ppm")
+    assert got.tobytes() == want
+
+
+BAD_PALETTES = {   # id: palette for three pixel sets
+    "2 colors for 3 sets": [(255, 0, 0), (0, 255, 0)],
+    "RGBA 4-tuples": [(255, 0, 0, 255)] * 3,
+    "three 2-tuples": [(255, 0), (0, 255), (0, 0)],
+    "plain ints": [255, 0, 0],
+    "a 2-tuple after 2 triples": [(255, 0, 0), (0, 255, 0), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PALETTES))
+def test_render_overlay_rejects_palette_without_an_rgb_triple_per_set(tmp_path, bad):
+    sets = [np.array([0, 9]), np.array([18]), {27}]
+    with pytest.raises(ConfigError, match="palette must give each of 3 sets an RGB triple"):
+        interpret.render_overlay(np.zeros((8, 8, 3)), sets,
+                                 interpret.OverlaySpec(BAD_PALETTES[bad]), tmp_path / "o.ppm")
+    assert not (tmp_path / "o.ppm").exists()
 
 
 @pytest.mark.parametrize("pixel", [-1, 64, 100])
@@ -323,6 +406,17 @@ def test_kmeans_k_equals_m_is_identity(m):
 def test_kmeans_k_one_is_all_zeros():
     centers = np.random.default_rng(0).standard_normal((7, 3))
     np.testing.assert_array_equal(interpret.kmeans_merge(centers, k=1), np.zeros(7))
+
+
+@pytest.mark.parametrize("centers, want", [
+    (np.ones((5, 2)), [0, 0, 0, 0, 0]),
+    ([[0, 0], [0, 0], [1, 1], [1, 1]], [0, 0, 1, 1]),
+], ids=["all equal", "two distinct"])
+def test_kmeans_seeds_past_coinciding_centers(centers, want):
+    """k exceeds the distinct centers, so k-means++ runs out of distance mass
+    (every center coincides with a chosen mean) and draws further seeds
+    uniformly instead of dividing by zero."""
+    np.testing.assert_array_equal(interpret.kmeans_merge(centers, k=3), want)
 
 
 def canonical_labels_oracle(labels):

@@ -128,6 +128,24 @@ def test_embed_indivisible_extent():
         pfe.patch_embed(np.zeros((1, 6, 8, 3)), np.zeros((6, 8, 2)), w, b)
 
 
+BAD_EMBEDS = {   # id: (image shape, grid shape, weight shape, fixed part of the message)
+    "4 image channels": ((1, 8, 8, 4), (8, 8, 2), (2, 4, 4, 5), "expected 3 image channels, got 4"),
+    "grid of 3 channels": ((1, 8, 8, 3), (8, 8, 3), (2, 4, 4, 5), r"grid shape \(8, 8, 3\) != \(8,8,2\)"),
+    "grid of another extent": ((1, 8, 8, 3), (8, 4, 2), (2, 4, 4, 5), r"grid shape \(8, 4, 2\)"),
+    "weight without the grid channels": (
+        (1, 8, 8, 3), (8, 8, 2), (2, 4, 4, 3), r"weight shape \(2, 4, 4, 3\) invalid"),
+    "weight of 2x2 patches": ((1, 8, 8, 3), (8, 8, 2), (2, 2, 2, 5), r"weight shape \(2, 2, 2, 5\)"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_EMBEDS))
+def test_embed_rejects_misshapen_operands(bad):
+    img, grid, weight, message = BAD_EMBEDS[bad]
+    with pytest.raises(DimensionError, match=message):
+        pfe.patch_embed(np.zeros(img), np.zeros(grid), param("w", np.zeros(weight)),
+                        param("b", np.zeros(weight[0])))
+
+
 def test_embed_grad_matches_fd():
     rng = np.random.default_rng(6)
     w, b = _embed_params(rng, 3)

@@ -137,6 +137,17 @@ def test_dwconv_even_kernel_rejected():
         T.dwconv2d(np.zeros((1, 4, 4, 1)), param("k", np.zeros((2, 2, 1))))
 
 
+@pytest.mark.parametrize("x_shape, k_shape, error, message", [
+    ((1, 4, 4, 1), (3, 1, 1), ConfigError, "dwconv2d kernel must be square"),
+    ((1, 4, 4, 1), (3, 5, 1), ConfigError, "dwconv2d kernel must be square"),
+    ((1, 4, 4, 2), (3, 3, 1), DimensionError, "dwconv2d: channels 2 != kernel channels 1"),
+    ((1, 4, 4, 1), (3, 3, 2), DimensionError, "dwconv2d: channels 1 != kernel channels 2"),
+])
+def test_dwconv_rejects_kernel_that_does_not_fit(x_shape, k_shape, error, message):
+    with pytest.raises(error, match=message):
+        T.dwconv2d(np.zeros(x_shape), param("k", np.zeros(k_shape)))
+
+
 def dwconv_loop_oracle(x, kernel, dy):
     """(y, dk, dx) of dwconv2d by one pass per kernel tap over a zero-padded copy."""
     b, h, w, c = x.shape
@@ -296,6 +307,11 @@ def test_cosine_orthogonal():
 def test_cosine_hand_value():
     y, _ = T.cosine_sim(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
     np.testing.assert_allclose(y[0, 0], INV_SQRT2, rtol=1e-12)
+
+
+def test_cosine_width_mismatch():
+    with pytest.raises(DimensionError, match=r"cosine_sim: feature widths differ \(2 vs 3\)"):
+        T.cosine_sim(np.ones((4, 2)), np.ones((5, 3)))
 
 
 def test_cosine_zero_vector_floor():
