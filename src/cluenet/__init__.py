@@ -9,5 +9,3 @@ The package is organized bottom-up:
 * ``icp``       inter-stage pooling in assignment space
 * ``interpret`` receptive-field tracing and overlay rendering
 """
-
-__version__ = "0.1.0"

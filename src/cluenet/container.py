@@ -28,7 +28,7 @@ MAGIC = b"CLUE"
 VERSION = 1
 
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i4"), 3: np.dtype("u1")}
-_KIND_TO_CODE = {("f", 4): 0, ("f", 8): 1, ("i", 4): 2, ("u", 1): 3}
+_KIND_TO_CODE = {(dt.kind, dt.itemsize): code for code, dt in _CODE_TO_DTYPE.items()}
 
 
 def _dtype_code(arr: np.ndarray) -> int:

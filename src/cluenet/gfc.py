@@ -84,20 +84,22 @@ def init_centers(p_map: np.ndarray, h: int, w: int):
     return centers, backward
 
 
-def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray, tau: float,
-                   cosine: bool = True):
+def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
+                   tau_raw: T.Parameter | None):
     """Attention of centers over pixels; convex value aggregation.
 
-    S_C = softmax_pixels(sim(c_s, p_s) / tau), where sim is the cosine
-    similarity, or the plain dot product when ``cosine`` is False (the
-    ablation, run at tau = sqrt(head width)). Returns (S_C @ p_v, S_C,
-    backward); backward(d_out) -> (d_c_s, d_p_s, d_p_v, d_tau).
+    S_C = softmax_pixels(sim(c_s, p_s) / tau). With ``tau_raw``, sim is the
+    cosine similarity and tau = max(exp(tau_raw), TAU_MIN); backward adds
+    tau_raw's gradient, none inside the clamp. Without it (the ablation),
+    sim is the plain dot product and tau = sqrt(head width). Returns
+    (S_C @ p_v, S_C, backward); backward(d_out) -> (d_c_s, d_p_s, d_p_v).
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    if cosine:
+    if tau_raw is not None:
+        tau_nat = float(np.exp(tau_raw.value))
+        tau = max(tau_nat, TAU_MIN)
         sim, back_sim = T.cosine_sim(c_s, p_s)      # (..., m, n)
     else:
+        tau = math.sqrt(c_s.shape[-1])
         sim = c_s @ np.swapaxes(p_s, -1, -2)
         back_sim = lambda d_sim: (d_sim @ p_s, np.swapaxes(d_sim, -1, -2) @ c_s)
     s_c, back_soft = T.softmax(sim / tau)
@@ -107,10 +109,11 @@ def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray, tau: float
         d_sc = d_out @ np.swapaxes(p_v, -1, -2)
         d_pv = np.swapaxes(s_c, -1, -2) @ d_out
         d_logits = back_soft(d_sc)
-        d_sim = d_logits / tau
-        d_tau = -float((d_logits * sim).sum()) / (tau * tau)
-        d_cs, d_ps = back_sim(d_sim)
-        return d_cs, d_ps, d_pv, d_tau
+        if tau_raw is not None and tau_nat > TAU_MIN:
+            s = float((d_logits * sim).sum())
+            tau_raw.add_grad(np.asarray((-s / (tau * tau)) * tau_nat, dtype=tau_raw.value.dtype))
+        d_cs, d_ps = back_sim(d_logits / tau)
+        return d_cs, d_ps, d_pv
 
     return out, s_c, backward
 
@@ -243,10 +246,12 @@ class ClusterState:
 
 @dataclass
 class GfcParams(T.ParamSet):
-    """Everything one block owns. tau_raw and gate are absent when the flags
-    switch them off (``flags`` is read back from them), w_q/alpha/beta when
-    the block consumes a shared assignment, and w_s/b_s when it does both
-    (nothing reads the similarity projection then)."""
+    """Everything one block owns. The optional parameters follow one layout,
+    the one make_gfc_params builds, and gfc_block_forward rejects any other:
+    tau_raw comes only with a gate (``flags`` is read back from the two);
+    w_q, alpha and beta come together, exactly when the block owns its
+    assignment; w_s and b_s come exactly with a gate or w_q, the only readers
+    of the similarity projection."""
 
     heads: int
     grid_hw: tuple[int, int]
@@ -333,16 +338,21 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     bsz, hh, ww, d = T.map_shape(x, "gfc block")
     if d != p.d:
         raise DimensionError(f"block expects width {p.d}, got {d}")
+    # GfcParams' layout; {a, b} != {c} catches a pair that disagrees with itself or its rule
+    if ({p.w_s is None, p.b_s is None} != {p.gate is None and not p.owns_assignment}
+            or {p.alpha is None, p.beta is None} != {not p.owns_assignment}
+            or (p.tau_raw is not None and p.gate is None)):
+        raise ConfigError("a block has a temperature only with a gate, w_s/b_s exactly with "
+                          "a gate or w_q, and alpha/beta exactly with w_q")
     if p.owns_assignment == (shared is not None):
         raise ConfigError("a block takes a shared assignment exactly when it has no query parameters")
-    if p.tau_raw is not None and p.gate is None:
-        raise ConfigError("a block has a temperature only with a gate")
     n = hh * ww
     heads, dp = p.heads, p.dp
     gh, gw = p.grid_hw
-    if shared is not None and (shared.cols.shape != (bsz, heads, n) or shared.m != gh * gw):
-        raise ConfigError(f"shared assignment shape {shared.cols.shape}/m={shared.m} does not "
-                          f"match block ({bsz},{heads},{n})/m={gh * gw}")
+    if shared is not None and (shared.cols.shape != (bsz, heads, n) or shared.m != gh * gw
+                               or shared.weights.shape != shared.cols.shape):
+        raise ConfigError(f"shared assignment cols {shared.cols.shape}, weights {shared.weights.shape}"
+                          f", m={shared.m} do not match block ({bsz},{heads},{n})/m={gh * gw}")
     to_heads = lambda a: split_heads(a.reshape(bsz, n, dp), heads)    # (B,H,W,d') -> (B,M,n,dh)
     to_map = lambda a_h: merge_heads(a_h).reshape(bsz, hh, ww, dp)   # (B,M,n,dh) -> (B,H,W,d')
 
@@ -355,11 +365,8 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     s_c, cvt = None, cv0
     if p.gate is not None:
         cs0, back_pool_s = init_centers(ps_map, gh, gw)
-        # sqrt(dh) >= 1, so the clamp only ever acts on a learned temperature
-        cosine = p.tau_raw is not None
-        tau_nat = float(np.exp(p.tau_raw.value)) if cosine else math.sqrt(dp // heads)
         agg_h, s_c, back_agg = soft_aggregate(split_heads(cs0, heads), to_heads(ps_map),
-                                              to_heads(pv_map), max(tau_nat, TAU_MIN), cosine)
+                                              to_heads(pv_map), p.tau_raw)
         cvt, back_fuse = gated_fuse(cv0, merge_heads(agg_h), p.gate)
 
     assign = shared
@@ -401,9 +408,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         d_cv0 = d_cvt
         if p.gate is not None:
             d_cv0, d_agg = back_fuse(d_cvt)
-            d_cs_h, d_ps_a, d_pv_a, d_tau = back_agg(split_heads(d_agg, heads))
-            if cosine and tau_nat > TAU_MIN:  # inside the clamp the temperature is constant
-                p.tau_raw.add_grad(np.asarray(d_tau * tau_nat, dtype=p.tau_raw.value.dtype))
+            d_cs_h, d_ps_a, d_pv_a = back_agg(split_heads(d_agg, heads))
             d_ps += [to_map(d_ps_a), back_pool_s(merge_heads(d_cs_h))]
             d_pv.append(to_map(d_pv_a))
 

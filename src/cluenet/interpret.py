@@ -254,7 +254,6 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
 def write_trace(path, trace: TraceBundle) -> None:
     """Serialize a TraceBundle into the binary container format."""
     entries: dict[str, np.ndarray] = {
-        "image_hw": np.asarray(trace.image_hw, dtype=np.int32),
         "patch": np.asarray([trace.patch], dtype=np.int32),
         "num_stages": np.asarray([len(trace.stage_hw)], dtype=np.int32),
     }
@@ -270,16 +269,15 @@ def write_trace(path, trace: TraceBundle) -> None:
             entries[f"{btag}/centers"] = st.centers_v.astype(np.float32)
             entries[f"{btag}/grid_hw"] = np.asarray(st.grid_hw, dtype=np.int32)
     for k, pool in enumerate(trace.pools):
-        tag = f"stage{k + 1}/pool"
-        entries[f"{tag}/owner"] = pool.owner.astype(np.int32)
-        entries[f"{tag}/grid_hw"] = np.asarray(pool.grid_hw, dtype=np.int32)
+        entries[f"stage{k + 1}/pool/owner"] = pool.owner.astype(np.int32)
     C.write_container(path, entries)
 
 
 def read_trace(path) -> TraceBundle:
-    """Inverse of write_trace. Raises FormatError when an entry is missing or
-    does not fit the maps it indexes: the image is stage 1's map times the
-    patch, a pool sends its stage into the next stage's map, and a block's
+    """Inverse of write_trace. The image size (stage 1's map times the patch)
+    and each pool's grid (the next stage's map) are derived, not stored.
+    Raises FormatError when an entry is missing or does not fit the maps it
+    indexes: a pool sends its stage into the next stage's map, and a block's
     grid holds its m centers, with cols and weights (heads, n), cols in [0, m)."""
     entries = C.read_container(path)
 
@@ -296,12 +294,11 @@ def read_trace(path) -> TraceBundle:
     def need_hw(key):
         return tuple(int(v) for v in need(key, (2,)))
 
-    image_hw = need_hw("image_hw")
     patch = int(need("patch", (1,))[0])
     num_stages = int(need("num_stages", (1,))[0])
+    if not num_stages:
+        raise FormatError("trace has no stages")
     stage_hw = [need_hw(f"stage{k + 1}/map_hw") for k in range(num_stages)]
-    if not stage_hw or image_hw != (stage_hw[0][0] * patch, stage_hw[0][1] * patch):
-        raise FormatError(f"trace image {image_hw} is not stage 1's map times patch {patch}")
     states: list[list[ClusterState]] = []
     for k, (hh, ww) in enumerate(stage_hw):
         tag = f"stage{k + 1}"
@@ -323,12 +320,9 @@ def read_trace(path) -> TraceBundle:
                 heads=len(cols), grid_hw=grid))
         states.append(blocks)
     pools = []
-    for k in range(num_stages - 1):
-        tag = f"stage{k + 1}/pool"
-        grid = need_hw(f"{tag}/grid_hw")
-        if grid != stage_hw[k + 1]:
-            raise FormatError(f"trace pool {k + 1} grid {grid} is not stage {k + 2}'s map")
-        owner = need(f"{tag}/owner", (math.prod(stage_hw[k]),), math.prod(grid))
+    for k, grid in enumerate(stage_hw[1:]):
+        owner = need(f"stage{k + 1}/pool/owner", (math.prod(stage_hw[k]),), math.prod(grid))
         pools.append(PoolAssignment(owner=owner, m=math.prod(grid), grid_hw=grid))
+    image_hw = (stage_hw[0][0] * patch, stage_hw[0][1] * patch)
     return TraceBundle(image_hw=image_hw, patch=patch, stage_hw=stage_hw,
                        states=states, pools=pools)

@@ -50,9 +50,10 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
                 bias: T.Parameter):
     """Embed (B, H, W, 3) + grid into (B, H/4, W/4, d).
 
-    The grid is a fixed input: it receives no gradient. ``weight`` rows are
-    laid out (patch_row, patch_col, channel) in C order, so flattening the
-    window and the kernel the same way reduces the convolution to one matmul.
+    The grid is a fixed input: it receives no gradient. Each 4x4x5 window
+    is flattened in (patch_row, patch_col, channel) C order, the order in
+    which T.linear reads the (d, 4, 4, 5) ``weight``, so the convolution is
+    one T.linear over the window rows.
     """
     b, h, w, c = T.map_shape(img, "patch_embed")
     if c != IMG_CHANNELS:
@@ -69,18 +70,12 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
     xc = np.concatenate([img, g], axis=-1)
     hp, wp = h // PATCH, w // PATCH
     windows = xc.reshape(b, hp, PATCH, wp, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
-    flat = np.ascontiguousarray(windows).reshape(-1, PATCH * PATCH * 5)  # one row per patch
-    wmat = weight.value.reshape(d, -1)
-    y = (flat @ wmat.T + bias.value).reshape(b, hp, wp, d)
+    rows = np.ascontiguousarray(windows).reshape(b, hp, wp, -1)  # one row per patch
+    y, back_lin = T.linear(rows, weight, bias)
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        dy2 = dy.reshape(-1, d)
-        bias.add_grad(dy2.sum(axis=0))
-        weight.add_grad((dy2.T @ flat).reshape(weight.value.shape))
-        dflat = dy2 @ wmat
-        dwin = dflat.reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
-        dxc = np.ascontiguousarray(dwin).reshape(b, h, w, 5)
-        return dxc[..., :IMG_CHANNELS]
+        dwin = back_lin(dy).reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
+        return np.ascontiguousarray(dwin).reshape(b, h, w, 5)[..., :IMG_CHANNELS]
 
     return y, backward
 

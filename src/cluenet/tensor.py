@@ -99,23 +99,26 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=F32) 
 def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     """y[..., j] = sum_k x[..., k] * w[j, k] (+ bias[j]).
 
-    ``x`` may carry arbitrary leading dimensions; ``w`` has shape (out, in).
-    The leading dimensions are flattened, so the forward and each gradient
-    are one 2-D GEMM over all positions, not one per leading index.
+    ``x`` may carry arbitrary leading dimensions; ``w`` has shape (out, *in)
+    and is read as (out, prod(in)) in C order, so a patch kernel needs no
+    reshape by the caller. The leading dimensions are flattened, so the
+    forward and each gradient are one 2-D GEMM over all positions, not one
+    per leading index.
     """
-    if x.shape[-1] != w.value.shape[1]:
-        raise DimensionError(f"linear: input width {x.shape[-1]} != weight width {w.value.shape[1]}")
+    wmat = w.value.reshape(len(w.value), math.prod(w.value.shape[1:]))
+    if x.shape[-1] != wmat.shape[1]:
+        raise DimensionError(f"linear: input width {x.shape[-1]} != weight width {wmat.shape[1]}")
     x2 = x.reshape(-1, x.shape[-1])
-    y = x2 @ w.value.T
+    y = x2 @ wmat.T
     if bias is not None:
         y = y + bias.value
 
     def backward(dy: np.ndarray) -> np.ndarray:
         dy2 = dy.reshape(-1, dy.shape[-1])
-        w.add_grad(dy2.T @ x2)
+        w.add_grad((dy2.T @ x2).reshape(w.value.shape))
         if bias is not None:
             bias.add_grad(dy2.sum(axis=0))
-        return (dy2 @ w.value).reshape(x.shape)
+        return (dy2 @ wmat).reshape(x.shape)
 
     return y.reshape(*x.shape[:-1], y.shape[-1]), backward
 

@@ -68,7 +68,7 @@ def test_aggregate_identical_pixels():
     p_sim = np.tile([1.0, 0.0, 0.0], (6, 1))
     p_val = np.tile(v, (6, 1))
     c = np.array([[0.3, 0.4, 0.5]])
-    out, s_c, _ = gfc.soft_aggregate(c, p_sim, p_val, tau=1.0)
+    out, s_c, _ = gfc.soft_aggregate(c, p_sim, p_val, param("tau_raw", 0.0))
     np.testing.assert_allclose(out[0], v, rtol=1e-12)
     np.testing.assert_allclose(s_c.sum(), 1.0, rtol=1e-12)
 
@@ -79,7 +79,7 @@ def test_aggregate_two_pixel_closed_form():
     v1, v2 = np.array([3.0, -1.0]), np.array([0.0, 4.0])
     p_val = np.stack([v1, v2])
     c = np.array([[1.0, 0.0]])
-    out, s_c, _ = gfc.soft_aggregate(c, p_sim, p_val, tau=1.0)
+    out, s_c, _ = gfc.soft_aggregate(c, p_sim, p_val, param("tau_raw", 0.0))
     w_hi, w_lo = 0.7310585786300049, 0.2689414213699951
     np.testing.assert_allclose(s_c[0], [w_hi, w_lo], rtol=1e-12)
     np.testing.assert_allclose(out[0], w_hi * v1 + w_lo * v2, rtol=1e-12)
@@ -88,7 +88,7 @@ def test_aggregate_two_pixel_closed_form():
 def test_aggregate_high_temperature_flattens():
     rng = np.random.default_rng(2)
     out, s_c, _ = gfc.soft_aggregate(rng.normal(size=(3, 4)), rng.normal(size=(7, 4)),
-                                     rng.normal(size=(7, 4)), tau=1e6)
+                                     rng.normal(size=(7, 4)), param("tau_raw", math.log(1e6)))
     np.testing.assert_allclose(s_c, 1.0 / 7.0, atol=1e-4)
 
 
@@ -97,35 +97,42 @@ def test_aggregate_rows_sum_to_one():
     for _ in range(25):
         c = rng.normal(size=(4, 5))
         p = rng.normal(size=(9, 5))
-        _, s_c, _ = gfc.soft_aggregate(c, p, rng.normal(size=(9, 5)),
-                                       tau=float(rng.uniform(0.05, 3.0)))
+        tau_raw = param("tau_raw", math.log(rng.uniform(0.05, 3.0)))
+        _, s_c, _ = gfc.soft_aggregate(c, p, rng.normal(size=(9, 5)), tau_raw)
         np.testing.assert_allclose(s_c.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(s_c > 0)
 
 
-def test_aggregate_rejects_bad_temperature():
-    z = np.zeros((1, 2))
-    with pytest.raises(ConfigError):
-        gfc.soft_aggregate(z, z, z, tau=0.0)
-
-
 def test_aggregate_grad_matches_fd():
+    """The chain rule through exp is the op's own: tau_raw is checked as a parameter."""
     rng = np.random.default_rng(4)
-    tau0 = 0.7
+    tau_raw = param("tau_raw", math.log(0.7))
     w = rng.normal(size=(3, 4))
     inputs = [rng.normal(size=(3, 4)) + 1.0, rng.normal(size=(6, 4)) - 1.0,
-              rng.normal(size=(6, 4)), np.array([tau0])]
-    grad_check(lambda c, p, v, tau: gfc.soft_aggregate(c, p, v, float(tau[0])),
-               inputs, w, tol=1e-6)
+              rng.normal(size=(6, 4))]
+    grad_check(lambda c, p, v: gfc.soft_aggregate(c, p, v, tau_raw),
+               inputs, w, params=[tau_raw], tol=1e-6)
+    assert tau_raw.grad is not None
+
+
+def test_aggregate_clamped_temperature_gets_no_gradient():
+    """Below TAU_MIN the temperature is the constant TAU_MIN: tau_raw gets no
+    gradient, in agreement with finite differences, and every input does."""
+    rng = np.random.default_rng(7)
+    tau_raw = param("tau_raw", math.log(gfc.TAU_MIN / 2))
+    w = rng.normal(size=(3, 4))
+    inputs = [rng.normal(size=(3, 4)), rng.normal(size=(6, 4)), rng.normal(size=(6, 4))]
+    run = lambda c, p, v: gfc.soft_aggregate(c, p, v, tau_raw)
+    grad_check(run, inputs, w, params=[tau_raw], tol=1e-4)   # tau = 0.01 sharpens the softmax
+    assert tau_raw.grad is None
+    assert all(np.any(g) for g in run(*inputs)[-1](w))
 
 
 def test_aggregate_dot_grad_matches_fd():
     rng = np.random.default_rng(5)
     w = rng.normal(size=(2, 4))
-    inputs = [rng.normal(size=(2, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 4)),
-              np.array([2.0])]
-    grad_check(lambda c, p, v, tau: gfc.soft_aggregate(c, p, v, float(tau[0]), cosine=False),
-               inputs, w, tol=1e-6)
+    inputs = [rng.normal(size=(2, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 4))]
+    grad_check(lambda c, p, v: gfc.soft_aggregate(c, p, v, None), inputs, w, tol=1e-6)
 
 
 def test_aggregate_unit_rows_match_dot_form():
@@ -137,8 +144,8 @@ def test_aggregate_unit_rows_match_dot_form():
     c /= np.linalg.norm(c, axis=-1, keepdims=True)
     p /= np.linalg.norm(p, axis=-1, keepdims=True)
     v = rng.normal(size=(8, dh))
-    out_cos, _, _ = gfc.soft_aggregate(c, p, v, tau=math.sqrt(dh))
-    out_dot, _, _ = gfc.soft_aggregate(c, p, v, tau=math.sqrt(dh), cosine=False)
+    out_cos, _, _ = gfc.soft_aggregate(c, p, v, param("tau_raw", math.log(math.sqrt(dh))))
+    out_dot, _, _ = gfc.soft_aggregate(c, p, v, None)
     np.testing.assert_allclose(out_cos, out_dot, rtol=1e-9)
 
 
@@ -418,6 +425,10 @@ def test_block_shared_shape_mismatch():
                              st1.assignment.m)
     with pytest.raises(ConfigError):
         gfc.gfc_block_forward(x, p2, shared=bad)
+    short_weights = gfc.HardAssignment(st1.assignment.cols, st1.assignment.weights[..., :5],
+                                       st1.assignment.m)
+    with pytest.raises(ConfigError, match=r"weights \(1, 2, 5\)"):
+        gfc.gfc_block_forward(x, p2, shared=short_weights)
 
 
 @pytest.mark.parametrize("owns", [False, True],
@@ -509,12 +520,13 @@ def test_block_fa_off_ignores_tcos():
     assert y_t.tobytes() == y_f.tobytes()
 
 
-def _run_block(x_width=8, **changes):
+def _run_block(x_width=8, flags=gfc.BlockFlags(), owns=True, **changes):
     rng = np.random.default_rng(40)
-    p = dataclasses.replace(toy_block(rng), **changes)
+    p = dataclasses.replace(toy_block(rng, flags=flags, owns=owns), **changes)
     return gfc.gfc_block_forward(rng.normal(size=(1, 4, 4, x_width)), p)
 
 
+LAYOUT = "a block has a temperature only with a gate, w_s/b_s exactly with a gate or w_q"
 BAD_BLOCKS = {   # id: (call, error class, fixed part of the message)
     "clustering width 6 over 4 heads": (
         lambda: toy_block(np.random.default_rng(0), dp=6, heads=4), ConfigError,
@@ -523,6 +535,14 @@ BAD_BLOCKS = {   # id: (call, error class, fixed part of the message)
         lambda: _run_block(x_width=5), DimensionError, "block expects width 8, got 5"),
     "temperature without a gate": (
         lambda: _run_block(gate=None), ConfigError, "a block has a temperature only with a gate"),
+    # layouts make_gfc_params cannot build
+    "gate on a consumer without w_s": (
+        lambda: _run_block(flags=gfc.BlockFlags(fa=False), owns=False, gate=_zero_gate(8)),
+        ConfigError, LAYOUT),
+    "w_s on a consumer without a gate": (
+        lambda: _run_block(owns=False, gate=None, tau_raw=None), ConfigError, LAYOUT),
+    "owner without alpha": (lambda: _run_block(alpha=None), ConfigError, LAYOUT),
+    "owner without w_s and b_s": (lambda: _run_block(w_s=None, b_s=None), ConfigError, LAYOUT),
 }
 
 

@@ -31,16 +31,25 @@ def test_read_trace_keeps_trailing_empty_clusters(tmp_path):
     np.testing.assert_array_equal(back.pools[0].owner, trace.pools[0].owner)
 
 
+def test_trace_stores_no_derived_size(tmp_path):
+    """The image is stage 1's map times the patch and a pool's grid is the
+    next stage's map: read_trace derives both, so the file holds neither."""
+    path = tmp_path / "t.clue"
+    interpret.write_trace(path, _two_stage_trace())
+    assert [k for k in container.read_container(path) if "image" in k or "pool/grid" in k] == []
+    back = interpret.read_trace(path)
+    assert back.image_hw == (8, 8) and back.pools[0].grid_hw == (2, 2)
+
+
 I32 = np.int32
 BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
     "owner value 9 in a 4-cluster pool": ("pool", "owner", np.array([0, 0, 9, 1], I32)),
     "3-entry owner for 4 points": ("pool", "owner", np.array([0, 0, 1], I32)),
-    "pool grid is not the next stage's map": ("pool", "grid_hw", (1, 4)),
     "column -1": ("assignment", "cols", np.array([[0, -1, 0, 0]], I32)),
     "column 7 with m = 2": ("assignment", "cols", np.array([[0, 7, 0, 0]], I32)),
     "cols for 3 of 4 points": ("assignment", "cols", np.zeros((1, 3), I32)),
     "weights of 2 heads for 1": ("assignment", "weights", np.ones((2, 4), np.float32)),
-    "image is not stage 1's map times the patch": ("trace", "image_hw", (8, 12)),
+    "no stages": ("trace", "stage_hw", []),
     "map size of 3 values": ("trace", "stage_hw", [(2, 2, 1), (2, 2)]),
     "3x3 center grid for 2 centers": ("state", "grid_hw", (3, 3)),
 }
@@ -111,7 +120,7 @@ def test_write_ppm_rejects_non_rgb_bytes(tmp_path, shape, dtype):
     assert not (tmp_path / "o.ppm").exists()
 
 
-@pytest.mark.parametrize("key", ["image_hw", "stage1/block1/centers", "stage1/pool/owner"])
+@pytest.mark.parametrize("key", ["patch", "stage1/block1/centers", "stage1/pool/owner"])
 def test_read_trace_rejects_missing_entry(tmp_path, key):
     path = tmp_path / "t.clue"
     interpret.write_trace(path, _two_stage_trace())

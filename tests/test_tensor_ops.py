@@ -58,7 +58,8 @@ def _linear_run(x, w, b, dy):
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 def test_linear_is_one_gemm_over_leading_axes(dtype):
     """A (2, 3, 4, 5) map gives bitwise the results of its 24 rows as one
-    (24, 5) matrix, and a non-contiguous view those of its contiguous copy."""
+    (24, 5) matrix, a non-contiguous view those of its contiguous copy, and
+    an (out, *in) weight those of its (out, prod(in)) reshape."""
     rng = np.random.default_rng(40)
     x, dy = rng.normal(size=(2, 3, 4, 5)).astype(dtype), rng.normal(size=(2, 3, 4, 6)).astype(dtype)
     w, b = rng.normal(size=(6, 5)).astype(dtype), rng.normal(size=6).astype(dtype)
@@ -75,6 +76,13 @@ def test_linear_is_one_gemm_over_leading_axes(dtype):
     copy = _linear_run(np.ascontiguousarray(xv), w, b, np.ascontiguousarray(dyv))
     for got, want in zip(view, copy):
         np.testing.assert_array_equal(got, want)
+
+    wk, xk = rng.normal(size=(6, 2, 5, 2)).astype(dtype), rng.normal(size=(2, 3, 4, 20)).astype(dtype)
+    y, dx, gw, gb = _linear_run(xk, wk, b, dy)
+    flat = _linear_run(xk, wk.reshape(6, 20), b, dy)
+    assert gw.shape == wk.shape
+    for got, want in zip((y, dx, gw.reshape(6, 20), gb), flat):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def _mlp(w1, b1, w2, b2):
