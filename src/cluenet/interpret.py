@@ -31,6 +31,12 @@ class TraceBundle:
     stage shares its assignment, else one per block); ``pools[k]`` is the
     partition of the transition after stage k. All arrays are squeezed
     (no batch dimension).
+
+    A trace is read-only once it has been queried: the first
+    cluster_receptive_field call for a (stage, block, head) keeps that
+    head's pixels grouped by cluster in ``_fields``, and later calls answer
+    from it without reading the pools or columns again. Build a new trace
+    (``dataclasses.replace`` starts with an empty ``_fields``) to change one.
     """
 
     image_hw: tuple[int, int]
@@ -38,6 +44,7 @@ class TraceBundle:
     stage_hw: list[tuple[int, int]]
     states: list[list[ClusterState]]
     pools: list[PoolAssignment]
+    _fields: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +70,8 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
 
     The patch blocks of the stage-0 points whose composed owner has column
     ``cluster`` under ``head``, as ascending flat indices (empty if none).
+    The first query per (stage, block, head) groups all H*W pixels by
+    cluster once (one stable argsort); each later query copies one slice.
     """
     if not 0 <= stage < len(trace.stage_hw):
         raise ConfigError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
@@ -72,10 +81,16 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     st = states[block]
     if not 0 <= head < st.heads:
         raise ConfigError(f"head {head} out of range [0,{st.heads})")
-    cols = st.assignment.cols[head]
-    if not 0 <= cluster < st.assignment.m:
-        raise ConfigError(f"cluster {cluster} out of range [0,{st.assignment.m})")
-    return np.flatnonzero(cols[_pixel_labels(trace, stage)] == cluster)
+    m = st.assignment.m
+    if not 0 <= cluster < m:
+        raise ConfigError(f"cluster {cluster} out of range [0,{m})")
+    key = (stage, block, head)
+    if key not in trace._fields:
+        labels = st.assignment.cols[head][_pixel_labels(trace, stage)].ravel()
+        order = np.argsort(labels, kind="stable")
+        trace._fields[key] = order, np.searchsorted(labels[order], np.arange(m + 1))
+    order, bounds = trace._fields[key]
+    return order[bounds[cluster]:bounds[cluster + 1]].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Trace and overlay file IO."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,9 +167,11 @@ PATCH = 3
 HEADS = 2
 
 
-def _random_trace(seed):
+def _random_trace(seed, blocks=1):
     """3 stages, 2 heads; the last cluster of every pool and the last center
-    of every stage own nothing, and random owners leave others empty too."""
+    of every stage own nothing, and random owners leave others empty too.
+    Block j of a stage shifts block 0's columns by j (mod 4), so with
+    ``blocks=2`` the two blocks disagree at every point."""
     rng = np.random.default_rng(seed)
     sizes = [h * w for h, w in STAGE_HW]
     pools = [icp.PoolAssignment(owner=rng.integers(0, sizes[k + 1] - 1, sizes[k]).astype(np.int32),
@@ -177,10 +181,12 @@ def _random_trace(seed):
     m = 5
     for n in sizes:
         cols = rng.integers(0, m - 1, (HEADS, n)).astype(np.int32)
+        centers = rng.standard_normal((m, 2)).astype(np.float32)
         states.append([gfc.ClusterState(
-            centers_v=rng.standard_normal((m, 2)).astype(np.float32), soft_sim=None,
-            assignment=gfc.HardAssignment(cols, np.ones((HEADS, n), dtype=np.float32), m=m),
-            heads=HEADS, grid_hw=(1, m))])
+            centers_v=centers, soft_sim=None,
+            assignment=gfc.HardAssignment((cols + j) % (m - 1), np.ones((HEADS, n), dtype=np.float32),
+                                          m=m),
+            heads=HEADS, grid_hw=(1, m)) for j in range(blocks)])
     h0, w0 = STAGE_HW[0]
     return interpret.TraceBundle(image_hw=(h0 * PATCH, w0 * PATCH), patch=PATCH,
                                  stage_hw=list(STAGE_HW), states=states, pools=pools)
@@ -234,6 +240,68 @@ def test_cluster_receptive_field_matches_oracle_and_partitions(seed):
                  for c in range(st.assignment.m)]
             assert fields[-1].size == 0
             _assert_partition(trace, fields)
+
+
+def _query_all(trace, block=0):
+    """Every cluster's field of every stage and head, keyed (stage, head, cluster)."""
+    return {(stage, head, c): interpret.cluster_receptive_field(trace, stage, c, head, block)
+            for stage, states in enumerate(trace.states)
+            for head in range(states[block].heads)
+            for c in range(states[block].assignment.m)}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_cluster_receptive_field_keeps_blocks_apart(seed):
+    """Queries go block 1, then block 0, then block 1 again, each over every
+    stage and head: a field kept for one block must not answer for another."""
+    trace = _random_trace(seed, blocks=2)
+    for block in (1, 0, 1):
+        for (stage, head, c), field in _query_all(trace, block).items():
+            assert _pixels(trace, field) == \
+                cluster_receptive_field_oracle(trace, stage, c, head, block)
+
+
+def test_cluster_receptive_field_returns_a_private_array():
+    """Each field is its caller's own 1-D, C-contiguous, strictly ascending
+    intp array: writing into it leaves the next query's answer intact."""
+    trace = _random_trace(0)
+    for (stage, head, c), field in _query_all(trace).items():
+        assert field.ndim == 1 and field.flags.c_contiguous and field.dtype == np.intp
+        want = cluster_receptive_field_oracle(trace, stage, c, head)
+        assert _pixels(trace, field) == want
+        field[:] = 0
+        assert _pixels(trace, interpret.cluster_receptive_field(trace, stage, c, head)) == want
+
+
+def test_pixel_labels_built_once_per_stage_block_and_head(monkeypatch):
+    calls = []
+    build = interpret._pixel_labels
+    monkeypatch.setattr(interpret, "_pixel_labels",
+                        lambda trace, stage: calls.append(stage) or build(trace, stage))
+    trace = _random_trace(0)
+    for _ in range(2):
+        _query_all(trace)
+    assert sorted(calls) == [stage for stage in range(len(STAGE_HW)) for _ in range(HEADS)]
+
+
+def test_replaced_and_read_back_traces_answer_from_their_own_data(tmp_path):
+    trace = _random_trace(0)
+    unqueried = tmp_path / "unqueried.clue"
+    interpret.write_trace(unqueried, trace)
+    fields = _query_all(trace)
+    copy = dataclasses.replace(trace, pools=_random_trace(1).pools)
+    copied = _query_all(copy)
+    assert any(not np.array_equal(copied[key], field) for key, field in fields.items())
+    for (stage, head, c), field in copied.items():
+        assert _pixels(copy, field) == cluster_receptive_field_oracle(copy, stage, c, head)
+    # the queried trace writes the same file, so its kept fields are not serialized
+    path = tmp_path / "t.clue"
+    interpret.write_trace(path, trace)
+    assert path.read_bytes() == unqueried.read_bytes()
+    back = _query_all(interpret.read_trace(path))
+    assert back.keys() == fields.keys()
+    for key, field in fields.items():
+        assert back[key].tobytes() == field.tobytes()
 
 
 def test_receptive_field_of_empty_pool_cluster_is_empty():
