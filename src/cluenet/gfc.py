@@ -40,7 +40,7 @@ class BlockFlags:
           centers; off leaves centers at their grid-pooled initialization.
     tcos: temperature-scaled cosine attention; off falls back to dot-product
           attention scaled by 1/sqrt(head width). It acts only with fa:
-          GfcParams.flags reports tcos=False for a block without a gate.
+          GfcParams.flags reports tcos=False for a block without ``agg``.
     """
 
     fa: bool = True
@@ -245,13 +245,28 @@ class ClusterState:
 
 
 @dataclass
+class Aggregation(T.ParamSet):
+    """Soft aggregation and gated fusion (BlockFlags.fa). ``tau_raw`` is the log
+    temperature of the cosine attention (tcos), None for dot-product attention."""
+
+    tau_raw: T.Parameter | None
+    gate: T.Mlp2Params
+
+
+@dataclass
+class Query(T.ParamSet):
+    """A block's own hard assignment: query projection, sigmoid scale and shift."""
+
+    w_q: T.Parameter
+    alpha: T.Parameter
+    beta: T.Parameter
+
+
+@dataclass
 class GfcParams(T.ParamSet):
-    """Everything one block owns. The optional parameters follow one layout,
-    the one make_gfc_params builds, and gfc_block_forward rejects any other:
-    tau_raw comes only with a gate (``flags`` is read back from the two);
-    w_q, alpha and beta come together, exactly when the block owns its
-    assignment; w_s and b_s come exactly with a gate or w_q, the only readers
-    of the similarity projection."""
+    """Everything one block owns; ``agg`` and ``query`` are its structural choices
+    (``flags`` and ``owns_assignment`` are read from them). w_s and b_s, which only
+    those two read, come exactly with one of them; gfc_block_forward checks it."""
 
     heads: int
     grid_hw: tuple[int, int]
@@ -261,11 +276,8 @@ class GfcParams(T.ParamSet):
     b_s: T.Parameter | None
     w_v: T.Parameter
     b_v: T.Parameter
-    tau_raw: T.Parameter | None
-    gate: T.Mlp2Params | None
-    w_q: T.Parameter | None
-    alpha: T.Parameter | None
-    beta: T.Parameter | None
+    agg: Aggregation | None
+    query: Query | None
     fc_out: T.Parameter
     b_out: T.Parameter
     norm2_g: T.Parameter
@@ -278,8 +290,9 @@ class GfcParams(T.ParamSet):
 
     d = property(lambda self: self.norm1_g.shape[0])
     dp = property(lambda self: self.w_v.shape[0])
-    owns_assignment = property(lambda self: self.w_q is not None)
-    flags = property(lambda self: BlockFlags(self.gate is not None, self.tau_raw is not None))
+    owns_assignment = property(lambda self: self.query is not None)
+    flags = property(lambda self: BlockFlags(self.agg is not None,
+                                             self.agg is not None and self.agg.tau_raw is not None))
 
 
 def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
@@ -292,19 +305,12 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     if dp % heads:
         raise ConfigError(f"{name}: clustering width {dp} not divisible by {heads} heads")
 
-    def tn(pname, shape):
-        return T.Parameter(f"{name}.{pname}", T.trunc_normal(rng, shape, 0.02, dtype))
-
-    def zeros(pname, shape):
-        return T.Parameter(f"{name}.{pname}", np.zeros(shape, dtype=dtype))
-
-    def const(pname, val):
-        return T.Parameter(f"{name}.{pname}", np.asarray(val, dtype=dtype))
-
-    gate = None
-    if flags.fa:
+    tn, zeros, const = T.makers(rng, name, dtype)
+    agg = None
+    if flags.fa:    # the gate draws first: seeded networks and checkpoints depend on it
         gate = T.Mlp2Params(tn("gate.w1", (dp, 2 * dp)), zeros("gate.b1", (dp,)),
                             tn("gate.w2", (1, dp)), zeros("gate.b2", (1,)))
+        agg = Aggregation(const("tau_raw", 0.0) if flags.tcos else None, gate)
     hidden = FFN_EXPANSION * d
     uses_s = flags.fa or owns_assignment
     return GfcParams(
@@ -313,11 +319,9 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
         w_s=tn("w_s", (dp, d)) if uses_s else None,
         b_s=zeros("b_s", (dp,)) if uses_s else None,
         w_v=tn("w_v", (dp, d)), b_v=zeros("b_v", (dp,)),
-        tau_raw=const("tau_raw", 0.0) if (flags.fa and flags.tcos) else None,
-        gate=gate,
-        w_q=tn("w_q", (dp, dp)) if owns_assignment else None,
-        alpha=const("alpha", 1.0) if owns_assignment else None,
-        beta=const("beta", 0.0) if owns_assignment else None,
+        agg=agg,
+        query=Query(tn("w_q", (dp, dp)), const("alpha", 1.0), const("beta", 0.0))
+        if owns_assignment else None,
         fc_out=zeros("fc_out", (d, dp)), b_out=zeros("b_out", (d,)),
         norm2_g=const("norm2_g", np.ones(d)), norm2_b=zeros("norm2_b", (d,)),
         ffn_w1=tn("ffn_w1", (hidden, d)), ffn_b1=zeros("ffn_b1", (hidden,)),
@@ -338,12 +342,9 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     bsz, hh, ww, d = T.map_shape(x, "gfc block")
     if d != p.d:
         raise DimensionError(f"block expects width {p.d}, got {d}")
-    # GfcParams' layout; {a, b} != {c} catches a pair that disagrees with itself or its rule
-    if ({p.w_s is None, p.b_s is None} != {p.gate is None and not p.owns_assignment}
-            or {p.alpha is None, p.beta is None} != {not p.owns_assignment}
-            or (p.tau_raw is not None and p.gate is None)):
-        raise ConfigError("a block has a temperature only with a gate, w_s/b_s exactly with "
-                          "a gate or w_q, and alpha/beta exactly with w_q")
+    # {a, b} != {c} catches a pair that disagrees with itself or with the rule
+    if {p.w_s is None, p.b_s is None} != {p.agg is None and p.query is None}:
+        raise ConfigError("a block has w_s and b_s exactly when it has agg or query")
     if p.owns_assignment == (shared is not None):
         raise ConfigError("a block takes a shared assignment exactly when it has no query parameters")
     n = hh * ww
@@ -363,17 +364,17 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     cv0, back_pool_v = init_centers(pv_map, gh, gw)          # (B,m,d')
 
     s_c, cvt = None, cv0
-    if p.gate is not None:
+    if p.agg is not None:
         cs0, back_pool_s = init_centers(ps_map, gh, gw)
         agg_h, s_c, back_agg = soft_aggregate(split_heads(cs0, heads), to_heads(ps_map),
-                                              to_heads(pv_map), p.tau_raw)
-        cvt, back_fuse = gated_fuse(cv0, merge_heads(agg_h), p.gate)
+                                              to_heads(pv_map), p.agg.tau_raw)
+        cvt, back_fuse = gated_fuse(cv0, merge_heads(agg_h), p.agg.gate)
 
     assign = shared
     if p.owns_assignment:
-        q_h, back_q = project_queries(cvt, p.w_q, heads)
+        q_h, back_q = project_queries(cvt, p.query.w_q, heads)
         assign, back_assign = compute_assignment(
-            to_heads(ps_map), q_h, float(p.alpha.value), float(p.beta.value))
+            to_heads(ps_map), q_h, float(p.query.alpha.value), float(p.query.beta.value))
 
     y1_flat, back_disp = dispatch(x.reshape(bsz, n, d), assign, split_heads(cvt, heads),
                                   p.fc_out, p.b_out)
@@ -400,13 +401,13 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
             if d_shared is not None:
                 d_weights = d_weights + d_shared
             d_ps_a, d_q_h, d_alpha, d_beta = back_assign(d_weights)
-            p.alpha.add_grad(np.asarray(d_alpha, dtype=p.alpha.value.dtype))
-            p.beta.add_grad(np.asarray(d_beta, dtype=p.beta.value.dtype))
+            p.query.alpha.add_grad(np.asarray(d_alpha, dtype=p.query.alpha.value.dtype))
+            p.query.beta.add_grad(np.asarray(d_beta, dtype=p.query.beta.value.dtype))
             d_ps.append(to_map(d_ps_a))
             d_cvt = d_cvt + back_q(d_q_h)
 
         d_cv0 = d_cvt
-        if p.gate is not None:
+        if p.agg is not None:
             d_cv0, d_agg = back_fuse(d_cvt)
             d_cs_h, d_ps_a, d_pv_a = back_agg(split_heads(d_agg, heads))
             d_ps += [to_map(d_ps_a), back_pool_s(merge_heads(d_cs_h))]

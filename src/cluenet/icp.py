@@ -50,18 +50,12 @@ class IcpParams(T.ParamSet):
 
 def make_icp_params(rng: np.random.Generator, d_in: int, d_out: int,
                     dtype=T.F32, name: str = "trans") -> IcpParams:
-    def tn(pname, shape):
-        return T.Parameter(f"{name}.{pname}", T.trunc_normal(rng, shape, 0.02, dtype))
-
-    def zeros(pname, width):
-        return T.Parameter(f"{name}.{pname}", np.zeros(width, dtype=dtype))
-
+    tn, zeros, const = T.makers(rng, name, dtype)
     # draw order w1, w2, proj_f: seeded networks and checkpoints depend on it
     w1 = tn("proj_v1.w", (d_out, d_in))
     w2 = tn("proj_v2.w", (d_out, d_out))
     return IcpParams(
-        norm_g=T.Parameter(f"{name}.norm_g", np.ones(d_in, dtype=dtype)),
-        norm_b=zeros("norm_b", d_in),
+        norm_g=const("norm_g", np.ones(d_in)), norm_b=zeros("norm_b", d_in),
         proj_f=tn("proj_f", (d_in, d_in)),
         proj_v=T.Mlp2Params(w1, zeros("proj_v1.b", d_out), w2, zeros("proj_v2.b", d_out)))
 
@@ -155,11 +149,9 @@ class LinearTransitionParams(T.ParamSet):
 
 def make_linear_transition(rng: np.random.Generator, d_in: int, d_out: int,
                            dtype=T.F32, name: str = "trans") -> LinearTransitionParams:
-    return LinearTransitionParams(
-        norm_g=T.Parameter(f"{name}.norm_g", np.ones(d_in, dtype=dtype)),
-        norm_b=T.Parameter(f"{name}.norm_b", np.zeros(d_in, dtype=dtype)),
-        w=T.Parameter(f"{name}.w", T.trunc_normal(rng, (d_out, d_in), 0.02, dtype)),
-        b=T.Parameter(f"{name}.b", np.zeros(d_out, dtype=dtype)))
+    tn, zeros, const = T.makers(rng, name, dtype)
+    return LinearTransitionParams(norm_g=const("norm_g", np.ones(d_in)), norm_b=zeros("norm_b", d_in),
+                                  w=tn("w", (d_out, d_in)), b=zeros("b", d_out))
 
 
 def linear_transition_forward(x: np.ndarray, p: LinearTransitionParams):

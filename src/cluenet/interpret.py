@@ -33,9 +33,9 @@ class TraceBundle:
     (no batch dimension).
 
     A trace is read-only once it has been queried: the first
-    cluster_receptive_field call for a (stage, block, head) keeps that
-    head's pixels grouped by cluster in ``_fields``, and later calls answer
-    from it without reading the pools or columns again. Build a new trace
+    cluster_receptive_field call for a (stage, block) keeps each head's
+    pixels grouped by cluster in ``_fields``, and later calls answer from
+    it without reading the pools or columns again. Build a new trace
     (``dataclasses.replace`` starts with an empty ``_fields``) to change one.
     """
 
@@ -70,8 +70,9 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
 
     The patch blocks of the stage-0 points whose composed owner has column
     ``cluster`` under ``head``, as ascending flat indices (empty if none).
-    The first query per (stage, block, head) groups all H*W pixels by
-    cluster once (one stable argsort); each later query copies one slice.
+    The first query per (stage, block) groups all H*W pixels by cluster for
+    every head (one stable sort of the smallest label dtype, which numpy
+    radix-sorts); each later query copies one slice.
     """
     if not 0 <= stage < len(trace.stage_hw):
         raise ConfigError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
@@ -84,12 +85,13 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     m = st.assignment.m
     if not 0 <= cluster < m:
         raise ConfigError(f"cluster {cluster} out of range [0,{m})")
-    key = (stage, block, head)
+    key = (stage, block)
     if key not in trace._fields:
-        labels = st.assignment.cols[head][_pixel_labels(trace, stage)].ravel()
-        order = np.argsort(labels, kind="stable")
-        trace._fields[key] = order, np.searchsorted(labels[order], np.arange(m + 1))
-    order, bounds = trace._fields[key]
+        labels = st.assignment.cols[:, _pixel_labels(trace, stage).ravel()]
+        orders = np.argsort(labels.astype(np.min_scalar_type(m)), axis=-1, kind="stable")
+        trace._fields[key] = [(order, np.searchsorted(lab[order], np.arange(m + 1)))
+                              for lab, order in zip(labels, orders)]
+    order, bounds = trace._fields[key][head]
     return order[bounds[cluster]:bounds[cluster + 1]].copy()
 
 
@@ -238,8 +240,12 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     flat_base, flat_out, flat_label = base.reshape(-1, 3), out.reshape(-1, 3), label.reshape(-1)
     colors = np.array(palette, dtype=np.float64).reshape(-1, 3) / 255.0
     for idx, pset in enumerate(pixel_sets):
-        pix = pset if isinstance(pset, np.ndarray) else np.array(list(pset), dtype=np.int64)
-        if pix.ndim != 1 or pix.dtype.kind not in "iu":
+        try:    # the elements give the dtype; an empty set has none to give it
+            pix = np.asarray(pset if isinstance(pset, np.ndarray) else list(pset) or np.empty(0, int))
+            flat = pix.ndim == 1 and pix.dtype.kind in "iu"
+        except ValueError:      # elements of different shapes
+            flat = False
+        if not flat:
             raise DimensionError(f"pixel set {idx} is not a list of flat pixel indices")
         bad = np.flatnonzero((pix < 0) | (pix >= hh * ww))
         if bad.size:
@@ -293,26 +299,25 @@ def read_trace(path) -> TraceBundle:
     and each pool's grid (the next stage's map) are derived, not stored.
     Raises FormatError when an entry is missing or does not fit the maps it
     indexes: a pool sends its stage into the next stage's map, and a block's
-    grid holds its m centers, with cols and weights (heads, n), cols in [0, m)."""
+    grid holds its m centers, with cols and weights (heads, n), cols in [0, m).
+    The patch, the stage count and every map and grid extent are at least 1."""
     entries = C.read_container(path)
 
-    def need(key, shape=None, below=np.inf):
-        """Entry ``key``; given ``shape``, integers of that shape in [0, below)."""
+    def need(key, shape=None, below=np.inf, least=0):
+        """Entry ``key``; given ``shape``, integers of that shape in [least, below)."""
         if key not in entries:
             raise FormatError(f"trace missing entry {key!r}")
         a = entries[key]
         if shape is not None and not (a.shape == shape and a.dtype.kind in "iu"
-                                      and np.all((a >= 0) & (a < below))):
-            raise FormatError(f"trace entry {key!r} is not {shape} integers in [0, {below})")
+                                      and np.all((a >= least) & (a < below))):
+            raise FormatError(f"trace entry {key!r} is not {shape} integers in [{least}, {below})")
         return a
 
     def need_hw(key):
-        return tuple(int(v) for v in need(key, (2,)))
+        return tuple(int(v) for v in need(key, (2,), least=1))
 
-    patch = int(need("patch", (1,))[0])
-    num_stages = int(need("num_stages", (1,))[0])
-    if not num_stages:
-        raise FormatError("trace has no stages")
+    patch = int(need("patch", (1,), least=1)[0])
+    num_stages = int(need("num_stages", (1,), least=1)[0])
     stage_hw = [need_hw(f"stage{k + 1}/map_hw") for k in range(num_stages)]
     states: list[list[ClusterState]] = []
     for k, (hh, ww) in enumerate(stage_hw):

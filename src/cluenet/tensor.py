@@ -92,6 +92,13 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=F32) 
     return (std * math.sqrt(2.0) * special.erfinv(2.0 * u - 1.0)).astype(dtype)
 
 
+def makers(rng: np.random.Generator, name: str, dtype=F32):
+    """Factories (tn, zeros, const) of Parameters named ``f"{name}.{pname}"``; tn draws trunc_normal."""
+    const = lambda pname, value: Parameter(f"{name}.{pname}", np.asarray(value, dtype=dtype))
+    return (lambda pname, shape: const(pname, trunc_normal(rng, shape, 0.02, dtype)),
+            lambda pname, shape: const(pname, np.zeros(shape, dtype=dtype)), const)
+
+
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------

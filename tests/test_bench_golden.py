@@ -1,0 +1,25 @@
+"""The benchmark's float64 golden and finite-difference checks, in tier-1.
+
+cluebench/ stores the logits and input gradient of its seeded networks
+(golden_{tiny,small}.npz) and checks them against a directional finite
+difference. A change that moves a seeded draw or drops a gradient term
+fails these checks, although every package test may still pass. These
+tests read cluebench/ and change nothing in it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small"])
+def test_seeded_network_matches_golden_and_finite_difference(monkeypatch, preset):
+    monkeypatch.syspath_prepend(str(ROOT))    # wherever pytest was started
+    from cluebench import checks, model
+
+    net64 = model.cast(model.build(model.PRESETS[preset], 0), np.float64)
+    assert checks.check_golden(net64) == []
+    assert checks.check_fd(net64)[0] == []

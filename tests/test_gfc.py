@@ -457,17 +457,18 @@ def test_block_single_vs_dual_head_duplication():
     p2.b_s.value = dup(p1.b_s.value)
     p2.w_v.value = dup(p1.w_v.value)
     p2.b_v.value = dup(p1.b_v.value)
-    p2.tau_raw.value = p1.tau_raw.value.copy()
-    a, b = p1.gate.w1.value[:, :dh], p1.gate.w1.value[:, dh:]
+    p2.agg.tau_raw.value = p1.agg.tau_raw.value.copy()
+    g1, g2 = p1.agg.gate, p2.agg.gate
+    a, b = g1.w1.value[:, :dh], g1.w1.value[:, dh:]
     half_row = 0.5 * np.concatenate([a, a, b, b], axis=1)   # acts on [cv,cv,agg,agg]
-    p2.gate.w1.value = np.concatenate([half_row, half_row], axis=0)
-    p2.gate.b1.value = dup(p1.gate.b1.value)
-    p2.gate.w2.value = 0.5 * np.concatenate([p1.gate.w2.value, p1.gate.w2.value], axis=1)
-    p2.gate.b2.value = p1.gate.b2.value.copy()
-    wq = p1.w_q.value
-    p2.w_q.value = 0.5 * np.block([[wq, wq], [wq, wq]])
-    p2.alpha.value = p1.alpha.value.copy()
-    p2.beta.value = p1.beta.value.copy()
+    g2.w1.value = np.concatenate([half_row, half_row], axis=0)
+    g2.b1.value = dup(g1.b1.value)
+    g2.w2.value = 0.5 * np.concatenate([g1.w2.value, g1.w2.value], axis=1)
+    g2.b2.value = g1.b2.value.copy()
+    wq = p1.query.w_q.value
+    p2.query.w_q.value = 0.5 * np.block([[wq, wq], [wq, wq]])
+    p2.query.alpha.value = p1.query.alpha.value.copy()
+    p2.query.beta.value = p1.query.beta.value.copy()
 
     _, st1, _ = gfc.gfc_block_forward(x, p1)
     _, st2, _ = gfc.gfc_block_forward(x, p2)
@@ -478,10 +479,10 @@ def test_block_single_vs_dual_head_duplication():
 def test_block_fa_off_equals_saturated_gate():
     rng = np.random.default_rng(30)
     p_on = toy_block(rng)
-    for q in p_on.gate.params():
+    for q in p_on.agg.gate.params():
         q.value = np.zeros_like(q.value)
-    p_on.gate.b2.value = np.array([40.0])   # g -> 1: fused centers -> pooled centers
-    p_off = dataclasses.replace(p_on, tau_raw=None, gate=None)
+    p_on.agg.gate.b2.value = np.array([40.0])   # g -> 1: fused centers -> pooled centers
+    p_off = dataclasses.replace(p_on, agg=None)
     assert p_off.flags == gfc.BlockFlags(fa=False, tcos=False)
     x = rng.normal(size=(1, 4, 4, 8))
     y_on, st_on, _ = gfc.gfc_block_forward(x, p_on)
@@ -500,12 +501,12 @@ def live(p, rng):
 @pytest.mark.parametrize("fa", [True, False])
 @pytest.mark.parametrize("tcos", [True, False])
 def test_block_flags_are_read_from_its_parameters(fa, tcos):
-    """flags is not a stored field: it says which of gate and tau_raw the
-    block holds, so a block without a gate reports tcos=False."""
+    """flags is not a stored field: it says whether the block holds agg and
+    agg.tau_raw, so a block without agg reports tcos=False."""
     p = toy_block(np.random.default_rng(36), flags=gfc.BlockFlags(fa, tcos))
     assert "flags" not in [f.name for f in dataclasses.fields(gfc.GfcParams)]
     assert p.flags == gfc.BlockFlags(fa=fa, tcos=fa and tcos)
-    assert (p.gate is not None, p.tau_raw is not None) == (fa, fa and tcos)
+    assert (p.agg is not None, fa and p.agg.tau_raw is not None) == (fa, fa and tcos)
 
 
 def test_block_fa_off_ignores_tcos():
@@ -526,22 +527,20 @@ def _run_block(x_width=8, flags=gfc.BlockFlags(), owns=True, **changes):
     return gfc.gfc_block_forward(rng.normal(size=(1, 4, 4, x_width)), p)
 
 
-LAYOUT = "a block has a temperature only with a gate, w_s/b_s exactly with a gate or w_q"
+LAYOUT = "a block has w_s and b_s exactly when it has agg or query"
 BAD_BLOCKS = {   # id: (call, error class, fixed part of the message)
     "clustering width 6 over 4 heads": (
         lambda: toy_block(np.random.default_rng(0), dp=6, heads=4), ConfigError,
         "clustering width 6 not divisible by 4 heads"),
     "5-wide input to an 8-wide block": (
         lambda: _run_block(x_width=5), DimensionError, "block expects width 8, got 5"),
-    "temperature without a gate": (
-        lambda: _run_block(gate=None), ConfigError, "a block has a temperature only with a gate"),
     # layouts make_gfc_params cannot build
     "gate on a consumer without w_s": (
-        lambda: _run_block(flags=gfc.BlockFlags(fa=False), owns=False, gate=_zero_gate(8)),
+        lambda: _run_block(flags=gfc.BlockFlags(fa=False), owns=False,
+                           agg=gfc.Aggregation(None, _zero_gate(8))),
         ConfigError, LAYOUT),
     "w_s on a consumer without a gate": (
-        lambda: _run_block(owns=False, gate=None, tau_raw=None), ConfigError, LAYOUT),
-    "owner without alpha": (lambda: _run_block(alpha=None), ConfigError, LAYOUT),
+        lambda: _run_block(owns=False, agg=None), ConfigError, LAYOUT),
     "owner without w_s and b_s": (lambda: _run_block(w_s=None, b_s=None), ConfigError, LAYOUT),
 }
 
@@ -581,12 +580,13 @@ def test_block_clamped_temperature_gets_no_gradient():
     gradient, in agreement with finite differences, and every other parameter does."""
     rng = np.random.default_rng(35)
     p = live(toy_block(rng, d=4, dp=4, heads=2, grid=(2, 2)), rng)
-    p.tau_raw.value = np.asarray(math.log(gfc.TAU_MIN / 2))
+    tau_raw = p.agg.tau_raw
+    tau_raw.value = np.asarray(math.log(gfc.TAU_MIN / 2))
     x0 = rng.normal(size=(1, 3, 3, 4))
     grad_check(lambda x: gfc.gfc_block_forward(x, p), [x0],
                np.random.default_rng(0).normal(size=x0.shape), params=p.params(), tol=1e-4)
-    assert p.tau_raw.grad is None
-    assert [q.name for q in p.params() if q is not p.tau_raw and not np.any(q.grad)] == []
+    assert tau_raw.grad is None
+    assert [q.name for q in p.params() if q is not tau_raw and not np.any(q.grad)] == []
 
 
 def two_block_stage(x, p1, p2):

@@ -54,6 +54,7 @@ BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
     "no stages": ("trace", "stage_hw", []),
     "map size of 3 values": ("trace", "stage_hw", [(2, 2, 1), (2, 2)]),
     "3x3 center grid for 2 centers": ("state", "grid_hw", (3, 3)),
+    "patch 0": ("trace", "patch", 0),
 }
 
 
@@ -67,6 +68,18 @@ def test_read_trace_rejects_malformed_trace(tmp_path, bad):
     path = tmp_path / "t.clue"
     interpret.write_trace(path, trace)
     with pytest.raises(FormatError):
+        interpret.read_trace(path)
+
+
+@pytest.mark.parametrize("map_hw", [(0, 2), (2, 0)])
+def test_read_trace_rejects_empty_stage_map(tmp_path, map_hw):
+    """A stage map without points, in a trace whose other entries fit it:
+    one stage, no pool, and a block with (1, 0) columns."""
+    trace = interpret.TraceBundle(image_hw=(0, 0), patch=4, stage_hw=[map_hw],
+                                  states=[[_state(2, 0)]], pools=[])
+    path = tmp_path / "t.clue"
+    interpret.write_trace(path, trace)
+    with pytest.raises(FormatError, match="stage1/map_hw"):
         interpret.read_trace(path)
 
 
@@ -274,6 +287,7 @@ def test_cluster_receptive_field_returns_a_private_array():
 
 
 def test_pixel_labels_built_once_per_stage_block_and_head(monkeypatch):
+    """The first query of a (stage, block) groups the pixels of all its heads."""
     calls = []
     build = interpret._pixel_labels
     monkeypatch.setattr(interpret, "_pixel_labels",
@@ -281,7 +295,7 @@ def test_pixel_labels_built_once_per_stage_block_and_head(monkeypatch):
     trace = _random_trace(0)
     for _ in range(2):
         _query_all(trace)
-    assert sorted(calls) == [stage for stage in range(len(STAGE_HW)) for _ in range(HEADS)]
+    assert sorted(calls) == list(range(len(STAGE_HW)))
 
 
 def test_replaced_and_read_back_traces_answer_from_their_own_data(tmp_path):
@@ -368,12 +382,12 @@ def render_overlay_oracle(image, pixel_sets, spec):
 
 
 def _overlapping_sets():
-    """Flat pixel sets on an 8x8 image; set 2 is a set of ints, as a union
-    of receptive fields builds it."""
+    """Flat pixel sets on an 8x8 image; set 2 is a set of numpy ints, as a
+    union of receptive fields builds it."""
     grid = np.arange(64).reshape(8, 8)
     return [grid[1:6, 0:5].ravel(),
             grid[3:8, 2:8].ravel(),                               # overlaps set 0
-            {7, 56},
+            set().union(grid[0, 7:], grid[7, :1]),                # {7, 56}
             np.empty(0, dtype=np.int64)]
 
 
@@ -442,6 +456,22 @@ def test_render_overlay_rejects_out_of_bounds_pixel(tmp_path, pixel):
 def test_render_overlay_rejects_row_col_tuples(tmp_path):
     with pytest.raises(DimensionError, match="flat pixel indices"):
         interpret.render_overlay(np.zeros((8, 8, 3)), [{(0, 0), (1, 1)}],
+                                 interpret.OverlaySpec(), tmp_path / "o.ppm")
+    assert not (tmp_path / "o.ppm").exists()
+
+
+NOT_FLAT = {   # id: a pixel set whose elements are not all flat integer indices
+    "floats": {0.5, 1.7},
+    "a digit string": {"3"},
+    "a bool": {True},
+    "a tuple beside an int": {(0, 1), 3},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_FLAT))
+def test_render_overlay_rejects_non_integer_pixel_set(tmp_path, bad):
+    with pytest.raises(DimensionError, match="pixel set 1 is not a list of flat pixel indices"):
+        interpret.render_overlay(np.zeros((8, 8, 3)), [{0}, NOT_FLAT[bad]],
                                  interpret.OverlaySpec(), tmp_path / "o.ppm")
     assert not (tmp_path / "o.ppm").exists()
 

@@ -21,19 +21,45 @@ CONSUMER_NO_FA = [
     "b.norm1_g", "b.norm1_b", "b.w_v", "b.b_v", "b.fc_out", "b.b_out", "b.norm2_g", "b.norm2_b",
     "b.ffn_w1", "b.ffn_b1", "b.ffn_dw", "b.ffn_w2", "b.ffn_b2",
 ]
+CONSUMER_ALL_FLAGS = [
+    "b.norm1_g", "b.norm1_b", "b.w_s", "b.b_s", "b.w_v", "b.b_v", "b.tau_raw",
+    "b.gate.w1", "b.gate.b1", "b.gate.w2", "b.gate.b2",
+    "b.fc_out", "b.b_out", "b.norm2_g", "b.norm2_b",
+    "b.ffn_w1", "b.ffn_b1", "b.ffn_dw", "b.ffn_w2", "b.ffn_b2",
+]
+OWNER_NO_TCOS = [
+    "b.norm1_g", "b.norm1_b", "b.w_s", "b.b_s", "b.w_v", "b.b_v",
+    "b.gate.w1", "b.gate.b1", "b.gate.w2", "b.gate.b2", "b.w_q", "b.alpha", "b.beta",
+    "b.fc_out", "b.b_out", "b.norm2_g", "b.norm2_b",
+    "b.ffn_w1", "b.ffn_b1", "b.ffn_dw", "b.ffn_w2", "b.ffn_b2",
+]
+CONSUMER_NO_TCOS = [
+    "b.norm1_g", "b.norm1_b", "b.w_s", "b.b_s", "b.w_v", "b.b_v",
+    "b.gate.w1", "b.gate.b1", "b.gate.w2", "b.gate.b2",
+    "b.fc_out", "b.b_out", "b.norm2_g", "b.norm2_b",
+    "b.ffn_w1", "b.ffn_b1", "b.ffn_dw", "b.ffn_w2", "b.ffn_b2",
+]
+OWNER_NO_FA = [
+    "b.norm1_g", "b.norm1_b", "b.w_s", "b.b_s", "b.w_v", "b.b_v", "b.w_q", "b.alpha", "b.beta",
+    "b.fc_out", "b.b_out", "b.norm2_g", "b.norm2_b",
+    "b.ffn_w1", "b.ffn_b1", "b.ffn_dw", "b.ffn_w2", "b.ffn_b2",
+]
 
 
 def names(p):
     return [q.name for q in p.params()]
 
 
-@pytest.mark.parametrize("fa, owns, want", [(True, True, OWNER_ALL_FLAGS),
-                                            (False, False, CONSUMER_NO_FA)])
+@pytest.mark.parametrize("fa, owns, want", [   # tcos is on exactly when want holds b.tau_raw
+    (True, True, OWNER_ALL_FLAGS), (False, False, CONSUMER_NO_FA),
+    (True, False, CONSUMER_ALL_FLAGS), (True, True, OWNER_NO_TCOS),
+    (True, False, CONSUMER_NO_TCOS), (False, True, OWNER_NO_FA)])
 def test_block_params_names_and_sizes(fa, owns, want):
-    p = gfc.make_gfc_params(np.random.default_rng(0), 8, 12, 2, (2, 2),
-                            gfc.BlockFlags(fa=fa), owns, name="b")
+    """Every block layout (fa with tcos, fa without, no fa) x (owner, consumer)."""
+    flags = gfc.BlockFlags(fa=fa, tcos="b.tau_raw" in want)
+    p = gfc.make_gfc_params(np.random.default_rng(0), 8, 12, 2, (2, 2), flags, owns, name="b")
     assert names(p) == want
-    assert (p.d, p.dp) == (8, 12)
+    assert (p.d, p.dp, p.flags, p.owns_assignment) == (8, 12, flags, owns)
 
 
 def test_icp_params_names_and_sizes():
