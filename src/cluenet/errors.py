@@ -14,8 +14,4 @@ class ConfigError(CluenetError):
 
 
 class FormatError(CluenetError):
-    """A file (checkpoint, trace, dataset, config) failed to parse."""
-
-
-class TrainingError(CluenetError):
-    """Training cannot proceed (missing gradient, non-finite loss)."""
+    """A container, checkpoint, trace or PPM file failed to parse."""

@@ -207,8 +207,7 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
     lo, hi = int(assign.cols.min(initial=0)), int(assign.cols.max(initial=0))
     if lo < 0 or hi >= m:
         raise ConfigError(f"assignment references center {lo if lo < 0 else hi} of {m}")
-    idx = assign.cols.astype(np.intp)[..., None]
-    sel = np.take_along_axis(centers_h, idx, axis=2)          # (B, M, n, dh)
+    sel = np.take_along_axis(centers_h, assign.cols[..., None], axis=2)   # (B, M, n, dh)
     msg_h = assign.weights[..., None] * sel
     msg = merge_heads(msg_h)                                   # (B, n, d')
     res, back_lin = T.linear(msg, fc_out, b_out)

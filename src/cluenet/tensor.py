@@ -31,13 +31,6 @@ def map_shape(x: np.ndarray, where: str) -> tuple[int, int, int, int]:
     return x.shape
 
 
-def assert_finite(x: np.ndarray, where: str) -> None:
-    """Raise if ``x`` contains NaN/Inf; non-finite values are an error state."""
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x).ravel())[0])
-        raise FloatingPointError(f"non-finite value in {where} at flat index {bad}")
-
-
 class Parameter:
     """A named, learnable array with an optional gradient accumulator."""
 

@@ -1,0 +1,73 @@
+"""Whole-network gates on the benchmark's network (cluebench/model.py).
+
+The assembled network lives only in cluebench/, so these tests import it to
+check what no package test can: a batch is its images run one at a time,
+checkpoints round-trip bit for bit, and the copy of gfc.compute_assignment
+in checks.forced_assignments, which the benchmark's float64 comparison
+runs, still computes what the package does. These tests read cluebench/
+and change nothing in it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))    # wherever pytest was started
+    from cluebench import checks, model
+    return checks, model
+
+
+def seeded_batch(preset, batch: int):
+    rng = np.random.default_rng(16)
+    x = rng.uniform(0.0, 1.0, (batch, preset.image, preset.image, 3))
+    return x, rng.integers(0, preset.classes, batch)
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small"])
+def test_forced_assignments_reproduce_the_package_step(bench, preset):
+    """Forcing a step's own hard choices changes no bit, so a change to
+    gfc.compute_assignment's forward or backward that the copy does not
+    follow fails here."""
+    checks, model = bench
+    net = model.cast(model.build(model.PRESETS[preset], 0), np.float64)
+    x, labels = seeded_batch(net.preset, 2)
+    _, logits, dx, rec = model.train_step(net, x, labels)
+    grads = [p.grad.copy() for p in net.params()]
+    with checks.forced_assignments(net, rec) as flips:
+        _, logits_f, dx_f, _ = model.train_step(net, x, labels)
+    assert flips == [0] * 6       # 4 stages' cols, 2 icp transitions' owners
+    assert logits_f.tobytes() == logits.tobytes()
+    assert dx_f.tobytes() == dx.tobytes()
+    changed = [p.name for p, g in zip(net.params(), grads) if p.grad.tobytes() != g.tobytes()]
+    assert not changed, "parameter gradients changed under forced assignments: " + ", ".join(changed)
+
+
+def test_batch_is_its_images_one_at_a_time(bench):
+    _, model = bench
+    net = model.cast(model.build(model.TINY, 0), np.float64)
+    x, _ = seeded_batch(net.preset, 3)
+    logits, rec, _ = model.forward(net, x)
+    for i in range(len(x)):
+        logits_i, rec_i, _ = model.forward(net, x[i:i + 1])
+        np.testing.assert_allclose(logits[i:i + 1], logits_i, rtol=0, atol=1e-12)
+        for st, st_i in zip(rec.states, rec_i.states, strict=True):
+            np.testing.assert_array_equal(st.assignment.cols[i], st_i.assignment.cols[0])
+        for pool, pool_i in zip(rec.pools, rec_i.pools, strict=True):
+            np.testing.assert_array_equal(pool.owner[i], pool_i.owner[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset", ["tiny", "small"])
+def test_checkpoint_round_trip_is_exact(bench, tmp_path, preset, dtype):
+    # cluebench/test_cluebench.py still expects 16 mismatches, the count of a
+    # 0-d entry defect in the container that has since been fixed.
+    _, model = bench
+    net = model.cast(model.build(model.PRESETS[preset], 0), dtype)
+    mismatches, _ = model.checkpoint_roundtrip(net, tmp_path / "net.clue")
+    assert mismatches == 0

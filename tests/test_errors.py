@@ -1,15 +1,11 @@
-"""The package raises only its own error classes (errors.py).
-
-FloatingPointError is the one builtin allowed: assert_finite raises it, the
-class numpy itself uses for non-finite results.
-"""
+"""The package raises only its own error classes (errors.py), never a
+builtin exception class such as ValueError or FloatingPointError."""
 
 import ast
 import builtins
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cluenet"
-ALLOWED_BUILTINS = {"FloatingPointError"}
 
 
 def builtin_raises(source: str) -> list[tuple[int, str]]:
@@ -21,7 +17,7 @@ def builtin_raises(source: str) -> list[tuple[int, str]]:
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         name = exc.id if isinstance(exc, ast.Name) else None
         obj = getattr(builtins, name, None) if name else None
-        if isinstance(obj, type) and issubclass(obj, BaseException) and name not in ALLOWED_BUILTINS:
+        if isinstance(obj, type) and issubclass(obj, BaseException):
             found.append((node.lineno, name))
     return found
 
@@ -29,7 +25,7 @@ def builtin_raises(source: str) -> list[tuple[int, str]]:
 def test_lint_flags_builtin_raises():
     src = ("raise ValueError('x')\nraise KeyError\nraise FloatingPointError('y')\n"
            "raise FormatError('z') from exc\ntry:\n    pass\nexcept OSError:\n    raise\n")
-    assert builtin_raises(src) == [(1, "ValueError"), (2, "KeyError")]
+    assert builtin_raises(src) == [(1, "ValueError"), (2, "KeyError"), (3, "FloatingPointError")]
 
 
 def test_package_raises_only_typed_errors():

@@ -463,8 +463,3 @@ def test_map_ops_require_batch_axis(op):
     MAP_OPS[op](x)
     with pytest.raises(DimensionError, match=r"\(B, H, W, C\)"):
         MAP_OPS[op](x[0])
-
-
-def test_assert_finite_raises():
-    with pytest.raises(FloatingPointError):
-        T.assert_finite(np.array([1.0, np.nan]), "unit test")
