@@ -121,9 +121,11 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2:
         raise DimensionError(f"kmeans_merge: centers must be (m, c), got shape {centers.shape}")
+    if not np.all(np.isfinite(centers)):
+        raise ConfigError("kmeans_merge: centers must be finite")
     m = centers.shape[0]
-    if not 1 <= k <= m:
-        raise ConfigError(f"k must be in [1,{m}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= m:
+        raise ConfigError(f"k must be an integer in [1,{m}], got {k}")
     rng = np.random.default_rng(KMEANS_SEED)
 
     # k-means++ seeding
@@ -143,12 +145,9 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     for _ in range(KMEANS_ITERS):
         dist = ((centers[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)          # first min = lowest index
-        for j in range(k):
-            sel = new_labels == j
-            if sel.any():
-                means[j] = centers[sel].mean(axis=0)
+        for j in np.unique(new_labels):
+            means[j] = centers[new_labels == j].mean(axis=0)
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
     return _canonical_labels(labels)
@@ -170,13 +169,9 @@ OVERLAY_ALPHA = 0.5
 
 def default_palette(count: int) -> list[tuple[int, int, int]]:
     """Deterministic list of ``count`` distinct RGB colors."""
-    out = list(_BASE_PALETTE)
-    i = 0
-    while len(out) < count:
-        h = (i * 0.6180339887498949) % 1.0       # golden-ratio hue steps
-        out.append(tuple(int(ch * 255) for ch in colorsys.hsv_to_rgb(h, 0.85, 0.95)))
-        i += 1
-    return out[:count]
+    return _BASE_PALETTE[:count] + [    # then golden-ratio hue steps
+        tuple(int(ch * 255) for ch in colorsys.hsv_to_rgb((i * 0.6180339887498949) % 1.0, 0.85, 0.95))
+        for i in range(count - len(_BASE_PALETTE))]
 
 
 @dataclass
@@ -222,11 +217,16 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
 
     ``image`` is (H, W, 3) in [0,1] float or uint8. A pixel set is an integer
     array or a set of ints, each a flat index ``r * W + c``; a later set wins
-    where two overlap. Returns the rendered uint8 array (also written to ``out_path``).
+    where two overlap. The palette gives each set an RGB triple of numbers in
+    [0, 255]. Returns the rendered uint8 array (also written to ``out_path``).
     """
-    palette = spec.palette[:len(pixel_sets)]
-    if len(palette) < len(pixel_sets) or any(np.shape(rgb) != (3,) for rgb in palette):
-        raise ConfigError(f"palette must give each of {len(pixel_sets)} sets an RGB triple")
+    n = len(pixel_sets)
+    try:    # the last row stands for unlabelled pixels (label -1); a ragged palette has no array
+        rgb = np.array([*spec.palette[:n], (0, 0, 0)])
+    except ValueError:
+        rgb = np.empty(0)
+    if rgb.shape != (n + 1, 3) or rgb.dtype.kind not in "iuf" or not np.all((rgb >= 0) & (rgb <= 255)):
+        raise ConfigError(f"palette must give each of {n} sets an RGB triple of numbers in [0, 255]")
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DimensionError(f"render_overlay: image must be (H, W, 3), got shape {img.shape}")
@@ -235,10 +235,7 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     else:
         base = np.clip(img.astype(np.float64), 0.0, 1.0)
     hh, ww = base.shape[:2]
-    out = base.copy()
-    label = np.full((hh, ww), -1, dtype=np.int64)
-    flat_base, flat_out, flat_label = base.reshape(-1, 3), out.reshape(-1, 3), label.reshape(-1)
-    colors = np.array(palette, dtype=np.float64).reshape(-1, 3) / 255.0
+    label = np.full(hh * ww, -1)
     for idx, pset in enumerate(pixel_sets):
         try:    # the elements give the dtype; an empty set has none to give it
             pix = np.asarray(pset if isinstance(pset, np.ndarray) else list(pset) or np.empty(0, int))
@@ -250,19 +247,16 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
         bad = np.flatnonzero((pix < 0) | (pix >= hh * ww))
         if bad.size:
             raise ConfigError(f"pixel {pix[bad[0]]} outside {hh}x{ww} image")
-        flat_out[pix] = (1.0 - OVERLAY_ALPHA) * flat_base[pix] + OVERLAY_ALPHA * colors[idx]
-        flat_label[pix] = idx
+        label[pix] = idx
+    label = label.reshape(hh, ww)
+    color = (rgb / 255.0)[label]
+    out = np.where(label[..., None] >= 0, (1.0 - OVERLAY_ALPHA) * base + OVERLAY_ALPHA * color, base)
     if spec.outline:
         # a labelled pixel with a differently labelled 4-neighbour takes its own color
-        edge = np.zeros((hh, ww), dtype=bool)
-        edge_r = label[:-1, :] != label[1:, :]
-        edge_c = label[:, :-1] != label[:, 1:]
-        edge[:-1, :] |= edge_r
-        edge[1:, :] |= edge_r
-        edge[:, :-1] |= edge_c
-        edge[:, 1:] |= edge_c
-        edge &= label >= 0
-        out[edge] = colors[label[edge]]
+        pad = np.pad(label, 1, mode="edge")
+        nbrs = [pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]]
+        edge = (label >= 0) & np.any([nb != label for nb in nbrs], axis=0)
+        out = np.where(edge[..., None], color, out)
     rendered = np.clip(np.rint(out * 255.0), 0, 255).astype(np.uint8)
     write_ppm(out_path, rendered)
     return rendered

@@ -2,16 +2,20 @@
 
 The assembled network lives only in cluebench/, so these tests import it to
 check what no package test can: a batch is its images run one at a time,
-checkpoints round-trip bit for bit, and the copy of gfc.compute_assignment
+checkpoints round-trip bit for bit, the copy of gfc.compute_assignment
 in checks.forced_assignments, which the benchmark's float64 comparison
-runs, still computes what the package does. These tests read cluebench/
-and change nothing in it.
+runs, still computes what the package does, and the benchmark's explain
+step passes its own checks. These tests read cluebench/ and change nothing
+in it.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_interpret import render_overlay_oracle
+
+from cluenet import interpret
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,3 +75,23 @@ def test_checkpoint_round_trip_is_exact(bench, tmp_path, preset, dtype):
     net = model.cast(model.build(model.PRESETS[preset], 0), dtype)
     mismatches, _ = model.checkpoint_roundtrip(net, tmp_path / "net.clue")
     assert mismatches == 0
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small"])
+def test_explain_step_passes_the_benchmark_checks(bench, tmp_path, preset):
+    """run.explain's receptive fields partition the image, its trace
+    round-trips and its overlay reads back; on tiny the overlay equals the
+    per-pixel oracle drawn from the same merged sets."""
+    checks, model = bench
+    from cluebench import run
+    net = model.build(model.PRESETS[preset], 0)
+    x, _ = run.inputs(net.preset, 16, 0, 1)
+    ex = run.explain(net, x[0], str(tmp_path))
+    assert checks.check_explain(ex, str(tmp_path / "overlay.ppm")) == ([], 0)
+    if preset == "tiny":
+        groups = interpret.kmeans_merge(ex.bundle.states[0][0].centers_v, k=run.MERGE_K)
+        width = ex.bundle.image_hw[1]
+        merged = [{divmod(int(i), width) for c in np.flatnonzero(groups == g) for i in ex.maps[0, 0, c]}
+                  for g in range(run.MERGE_K)]
+        spec = interpret.OverlaySpec(interpret.default_palette(run.MERGE_K), outline=True)
+        assert ex.rendered.tobytes() == render_overlay_oracle(x[0], merged, spec).tobytes()

@@ -432,6 +432,10 @@ BAD_PALETTES = {   # id: palette for three pixel sets
     "three 2-tuples": [(255, 0), (0, 255), (0, 0)],
     "plain ints": [255, 0, 0],
     "a 2-tuple after 2 triples": [(255, 0, 0), (0, 255, 0), (0, 0)],
+    "a string triple": [(255, 0, 0), ("a", "b", "c"), (0, 0, 255)],
+    "a NaN channel": [(255, 0, 0), (0, float("nan"), 0), (0, 0, 255)],
+    "a channel of 256": [(255, 0, 0), (0, 256, 0), (0, 0, 255)],
+    "a channel of -1": [(255, 0, 0), (0, -1, 0), (0, 0, 255)],
 }
 
 
@@ -442,6 +446,16 @@ def test_render_overlay_rejects_palette_without_an_rgb_triple_per_set(tmp_path, 
         interpret.render_overlay(np.zeros((8, 8, 3)), sets,
                                  interpret.OverlaySpec(BAD_PALETTES[bad]), tmp_path / "o.ppm")
     assert not (tmp_path / "o.ppm").exists()
+
+
+def test_render_overlay_accepts_palette_channels_from_0_to_255(tmp_path):
+    """Float channels and both range ends are colors like any other."""
+    image = np.random.default_rng(4).uniform(0.0, 1.0, (8, 8, 3))
+    sets = _overlapping_sets()
+    spec = interpret.OverlaySpec([(0, 0, 0), (255, 255, 255), (127.5, 0.25, 255.0), (1, 2, 3)],
+                                 outline=True)
+    got = interpret.render_overlay(image, sets, spec, tmp_path / "o.ppm")
+    assert got.tobytes() == render_overlay_oracle(image, _row_col_sets(sets), spec).tobytes()
 
 
 @pytest.mark.parametrize("pixel", [-1, 64, 100])
@@ -500,6 +514,12 @@ def test_default_palette_matches_hsv_oracle():
     assert interpret.default_palette(500) == want
 
 
+@pytest.mark.parametrize("count", range(14))
+def test_default_palette_is_a_prefix_of_the_longer_palette(count):
+    """Below, at and just past the 12 base colors, where no hue step is taken."""
+    assert interpret.default_palette(count) == interpret.default_palette(500)[:count]
+
+
 # ---------------------------------------------------------------------------
 # K-Means merging
 # ---------------------------------------------------------------------------
@@ -544,10 +564,24 @@ def test_canonical_labels_number_groups_by_first_appearance():
         np.testing.assert_array_equal(got, canonical_labels_oracle(labels))
 
 
-@pytest.mark.parametrize("k", [0, -1, 6])
+@pytest.mark.parametrize("k", [0, -1, 6, 2.5, 2.0, "2", None])
 def test_kmeans_k_out_of_range(k):
     with pytest.raises(ConfigError, match="k must be"):
         interpret.kmeans_merge(np.random.default_rng(0).standard_normal((5, 2)), k=k)
+
+
+def test_kmeans_accepts_a_numpy_integer_k():
+    centers = np.random.default_rng(0).standard_normal((5, 2))
+    np.testing.assert_array_equal(interpret.kmeans_merge(centers, k=np.int64(2)),
+                                  interpret.kmeans_merge(centers, k=2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_centers(value):
+    centers = np.random.default_rng(0).standard_normal((5, 2))
+    centers[3, 1] = value
+    with pytest.raises(ConfigError, match="centers must be finite"):
+        interpret.kmeans_merge(centers, k=2)
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
