@@ -50,7 +50,7 @@ class BlockFlags:
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., n, d') -> (..., heads, n, d'/heads); contiguous channel slices."""
     *lead, n, dp = x.shape
-    if dp % heads:
+    if heads < 1 or dp % heads:
         raise ConfigError(f"channel width {dp} not divisible by {heads} heads")
     return np.moveaxis(x.reshape(*lead, n, heads, dp // heads), -2, -3)
 
@@ -301,7 +301,7 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     """Initialize one block. Residual output projections (fc_out, ffn_w2)
     and every bias start at zero, which makes the whole block the identity;
     the remaining projections are truncated-normal, std 0.02."""
-    if dp % heads:
+    if heads < 1 or dp % heads:
         raise ConfigError(f"{name}: clustering width {dp} not divisible by {heads} heads")
 
     tn, zeros, const = T.makers(rng, name, dtype)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
+from .gfc import init_centers    # bound here: patching gfc.init_centers leaves pools alone
 
 
 @dataclass
@@ -106,8 +107,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
 
     xn, back_norm = T.layer_norm(x, p.norm_g, p.norm_b)
     s_map, back_projf = T.linear(xn, p.proj_f)               # (B,H,W,d_s)
-    seeds_map, back_seed_pool = T.adaptive_avg_pool2d(s_map, h2, w2)
-    seeds = seeds_map.reshape(bsz, m, p.d_in)
+    seeds, back_seeds = init_centers(s_map, h2, w2)          # (B,m,d_s)
     s_flat = s_map.reshape(bsz, n, p.d_in)
     owner = _partition(s_flat, seeds)
     pooled, back_means = _pool_means(s_flat, owner, seeds)
@@ -118,7 +118,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     def backward(d_out: np.ndarray) -> np.ndarray:
         d_pooled = back_projv(d_out.reshape(bsz, m, p.d_out))
         d_s_flat, d_seeds = back_means(d_pooled)
-        d_s_map = d_s_flat.reshape(s_map.shape) + back_seed_pool(d_seeds.reshape(seeds_map.shape))
+        d_s_map = d_s_flat.reshape(s_map.shape) + back_seeds(d_seeds)
         # _pool_means promotes float32 to float64; keep that out of the stage before
         return back_norm(back_projf(d_s_map)).astype(x.dtype, copy=False)
 

@@ -64,6 +64,15 @@ def _pixel_labels(trace: TraceBundle, stage: int) -> np.ndarray:
     return owner.reshape(h0, w0).repeat(trace.patch, axis=0).repeat(trace.patch, axis=1)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_index(name: str, value, size: int) -> None:
+    if not (_is_int(value) and 0 <= value < size):
+        raise ConfigError(f"{name} {value} out of range [0,{size})")
+
+
 def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
                             head: int, block: int = 0) -> np.ndarray:
     """Image pixels feeding the points of ``stage`` assigned to ``cluster``.
@@ -74,17 +83,12 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     every head (one stable sort of the smallest label dtype, which numpy
     radix-sorts); each later query copies one slice.
     """
-    if not 0 <= stage < len(trace.stage_hw):
-        raise ConfigError(f"stage {stage} out of range [0,{len(trace.stage_hw)})")
-    states = trace.states[stage]
-    if not 0 <= block < len(states):
-        raise ConfigError(f"block {block} out of range [0,{len(states)})")
-    st = states[block]
-    if not 0 <= head < st.heads:
-        raise ConfigError(f"head {head} out of range [0,{st.heads})")
+    _check_index("stage", stage, len(trace.stage_hw))
+    _check_index("block", block, len(trace.states[stage]))
+    st = trace.states[stage][block]
+    _check_index("head", head, st.heads)
     m = st.assignment.m
-    if not 0 <= cluster < m:
-        raise ConfigError(f"cluster {cluster} out of range [0,{m})")
+    _check_index("cluster", cluster, m)
     key = (stage, block)
     if key not in trace._fields:
         labels = st.assignment.cols[:, _pixel_labels(trace, stage).ravel()]
@@ -124,7 +128,7 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     if not np.all(np.isfinite(centers)):
         raise ConfigError("kmeans_merge: centers must be finite")
     m = centers.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= m:
+    if not (_is_int(k) and 1 <= k <= m):
         raise ConfigError(f"k must be an integer in [1,{m}], got {k}")
     rng = np.random.default_rng(KMEANS_SEED)
 
@@ -230,6 +234,8 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DimensionError(f"render_overlay: image must be (H, W, 3), got shape {img.shape}")
+    if not np.all(np.isfinite(img)):
+        raise ConfigError("render_overlay: image must be finite")
     if img.dtype == np.uint8:
         base = img.astype(np.float64) / 255.0
     else:

@@ -162,9 +162,7 @@ def mlp2(x: np.ndarray, p: Mlp2Params):
 
 
 def sigmoid(x: np.ndarray):
-    # Stable in both tails: exp of a non-positive argument only.
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = special.expit(x)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         return dy * y * (1.0 - y)
@@ -173,10 +171,8 @@ def sigmoid(x: np.ndarray):
 
 
 def softmax(x: np.ndarray):
-    """Softmax along the last axis, max-subtracted for stability."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis."""
+    y = special.softmax(x, axis=-1)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         inner = (dy * y).sum(axis=-1, keepdims=True)
@@ -193,13 +189,14 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     the kernel flipped in both spatial axes, ``kernel[::-1, ::-1]``.
     """
     _, h, w_, c = map_shape(x, "dwconv2d")
-    k = kernel.value.shape[0]
+    kshape = kernel.value.shape
+    if len(kshape) != 3 or kshape[0] != kshape[1]:
+        raise ConfigError(f"dwconv2d kernel must be square (k, k, C), got shape {kshape}")
+    k = kshape[0]
     if k % 2 == 0:
         raise ConfigError(f"dwconv2d kernel size must be odd, got {k}")
-    if kernel.value.shape[0] != kernel.value.shape[1]:
-        raise ConfigError("dwconv2d kernel must be square")
-    if c != kernel.value.shape[2]:
-        raise DimensionError(f"dwconv2d: channels {c} != kernel channels {kernel.value.shape[2]}")
+    if c != kshape[2]:
+        raise DimensionError(f"dwconv2d: channels {c} != kernel channels {kshape[2]}")
     pad = ((0, 0), (k // 2, k // 2), (k // 2, k // 2), (0, 0))
 
     def taps(a: np.ndarray) -> np.ndarray:
@@ -269,6 +266,8 @@ def cosine_sim(a: np.ndarray, b: np.ndarray):
 
 def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
     """Channel LayerNorm: per-position mean/variance over the last axis."""
+    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
+        raise DimensionError(f"layer_norm: gamma {gamma.shape}, beta {beta.shape} != {x.shape[-1:]}")
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)

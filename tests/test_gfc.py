@@ -235,8 +235,9 @@ def test_queries_zero_projection():
 
 
 def test_queries_indivisible_heads():
-    with pytest.raises(ConfigError):
-        gfc.split_heads(np.ones((3, 5)), 2)
+    for width, heads in [(5, 2), (4, 0), (4, -2)]:
+        with pytest.raises(ConfigError, match=f"channel width {width} not divisible by {heads} heads"):
+            gfc.split_heads(np.ones((3, width)), heads)
 
 
 def test_assignment_keeps_row_max():
@@ -532,6 +533,15 @@ BAD_BLOCKS = {   # id: (call, error class, fixed part of the message)
     "clustering width 6 over 4 heads": (
         lambda: toy_block(np.random.default_rng(0), dp=6, heads=4), ConfigError,
         "clustering width 6 not divisible by 4 heads"),
+    "clustering width 8 over 0 heads": (
+        lambda: toy_block(np.random.default_rng(0), heads=0), ConfigError,
+        "clustering width 8 not divisible by 0 heads"),
+    "5-wide norm1_b on an 8-wide block": (
+        lambda: _run_block(norm1_b=param("b", np.zeros(5))), DimensionError,
+        r"layer_norm: gamma \(8,\), beta \(5,\) != \(8,\)"),
+    "5-wide norm2_g on an 8-wide block": (
+        lambda: _run_block(norm2_g=param("g", np.ones(5))), DimensionError,
+        r"layer_norm: gamma \(5,\), beta \(8,\) != \(8,\)"),
     "5-wide input to an 8-wide block": (
         lambda: _run_block(x_width=5), DimensionError, "block expects width 8, got 5"),
     # layouts make_gfc_params cannot build

@@ -324,7 +324,7 @@ def test_receptive_field_of_empty_pool_cluster_is_empty():
     assert interpret.cluster_receptive_field(trace, 1, hh * ww - 1, 0).size == 0
 
 
-@pytest.mark.parametrize("stage", [-1, 3, 5])
+@pytest.mark.parametrize("stage", [-1, 3, 5, 0.0, True])
 def test_cluster_receptive_field_rejects_bad_stage(stage):
     trace = _random_trace(0)
     with pytest.raises(ConfigError, match="stage"):
@@ -338,6 +338,10 @@ def test_cluster_receptive_field_rejects_bad_stage(stage):
     (0, -1, 0, r"head -1 out of range"),
     (5, 0, 0, r"cluster 5 out of range \[0,5\)"),
     (-1, 0, 0, r"cluster -1 out of range"),
+    (1.0, 0, 0, r"cluster 1.0 out of range \[0,5\)"),
+    (True, 0, 0, r"cluster True out of range \[0,5\)"),
+    (0, 1.0, 0, r"head 1.0 out of range"),
+    (0, 0, 0.0, r"block 0.0 out of range"),
 ])
 def test_cluster_receptive_field_rejects_bad_index(cluster, head, block, message):
     with pytest.raises(ConfigError, match=message):
@@ -498,6 +502,15 @@ def test_render_overlay_rejects_non_rgb_image(tmp_path, shape):
     assert not (tmp_path / "o.ppm").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_render_overlay_rejects_non_finite_image(tmp_path, value):
+    image = np.zeros((4, 4, 3))
+    image[1, 2, 0] = value
+    with pytest.raises(ConfigError, match="image must be finite"):
+        interpret.render_overlay(image, [{0}], interpret.OverlaySpec(), tmp_path / "o.ppm")
+    assert not (tmp_path / "o.ppm").exists()
+
+
 def hsv_byte_oracle(h, s, v):
     """Hand-written HSV -> RGB byte conversion, the reference for default_palette."""
     i = int(h * 6.0) % 6
@@ -564,7 +577,7 @@ def test_canonical_labels_number_groups_by_first_appearance():
         np.testing.assert_array_equal(got, canonical_labels_oracle(labels))
 
 
-@pytest.mark.parametrize("k", [0, -1, 6, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize("k", [0, -1, 6, 2.5, 2.0, "2", None, True, np.True_])
 def test_kmeans_k_out_of_range(k):
     with pytest.raises(ConfigError, match="k must be"):
         interpret.kmeans_merge(np.random.default_rng(0).standard_normal((5, 2)), k=k)

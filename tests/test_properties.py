@@ -18,10 +18,10 @@ def par(rng, name, *shape):
     return T.Parameter(name, arr(rng, *shape))
 
 
-def live_block(rng, owns=True, dtype=F32):
+def live_block(rng, owns=True, dtype=F32, flags=gfc.BlockFlags()):
     """A width-8, 2-head block whose residual branches are not zero, so it is
     not the identity."""
-    p = gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), owns_assignment=owns, dtype=dtype)
+    p = gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), flags, owns, dtype=dtype)
     for q in p.params():
         if q.value.ndim >= 2:
             q.value = T.trunc_normal(rng, q.shape, 0.2, dtype)
@@ -37,24 +37,37 @@ def as_list(grads):
 # ---------------------------------------------------------------------------
 
 def op_case(rng, fn, *args):
-    """Forward and backward of an op returning (out, backward)."""
-    out, back = fn(*args)
-    grads = as_list(back(arr(rng, *out.shape)))
-    return out, grads, [a for a in args if isinstance(a, T.Parameter)]
+    """Forward and backward of an op returning (out, ..., backward). A
+    HardAssignment out stands for its weights; the float gradients of
+    compute_assignment's scalar alpha and beta are not arrays and are left out."""
+    res = fn(*args)
+    out = res[0].weights if isinstance(res[0], gfc.HardAssignment) else res[0]
+    grads = [g for g in as_list(res[-1](arr(rng, *out.shape))) if isinstance(g, np.ndarray)]
+    params = [q for a in args if isinstance(a, (T.Parameter, T.ParamSet))
+              for q in (a.params() if isinstance(a, T.ParamSet) else [a])]
+    return out, grads, params
 
 
-def gfc_owner_case(rng):
-    p = live_block(rng)
-    y, _, back = gfc.gfc_block_forward(arr(rng, 2, 4, 4, 8), p)
-    return y, [back(arr(rng, *y.shape))], p.params()
+def gfc_case(owns, flags=gfc.BlockFlags()):
+    def case(rng):
+        x = arr(rng, 2, 4, 4, 8)
+        shared = None if owns else gfc.gfc_block_forward(x, live_block(rng))[1].assignment
+        p = live_block(rng, owns, flags=flags)
+        y, _, back = gfc.gfc_block_forward(x, p, shared=shared)
+        return y, as_list(back(arr(rng, *y.shape))), p.params()
+    return case
 
 
-def gfc_consumer_case(rng):
-    x = arr(rng, 2, 4, 4, 8)
-    _, state, _ = gfc.gfc_block_forward(x, live_block(rng))
-    p = live_block(rng, owns=False)
-    y, _, back = gfc.gfc_block_forward(x, p, shared=state.assignment)
-    return y, as_list(back(arr(rng, *y.shape))), p.params()
+def mlp(rng, d_in, d_hidden, d_out):
+    return T.Mlp2Params(par(rng, "w1", d_hidden, d_in), par(rng, "b1", d_hidden),
+                        par(rng, "w2", d_out, d_hidden), par(rng, "b2", d_out))
+
+
+def dispatch_case(rng):
+    """B=2, 2 heads of width 3 over m=4 centers and n=5 pixels, d=6."""
+    assign = gfc.HardAssignment(rng.integers(0, 4, (2, 2, 5)).astype(np.int32), arr(rng, 2, 2, 5), 4)
+    return op_case(rng, gfc.dispatch, arr(rng, 2, 5, 6), assign, arr(rng, 2, 2, 4, 3),
+                   par(rng, "fc_out", 6, 6), par(rng, "b_out", 6))
 
 
 def transition_case(forward, make):
@@ -76,8 +89,25 @@ DTYPE_CASES = {
     "adaptive_avg_pool2d": lambda r: op_case(r, T.adaptive_avg_pool2d, arr(r, 2, 4, 4, 3), 2, 2),
     "patch_embed": lambda r: op_case(r, pfe.patch_embed, arr(r, 2, 8, 8, 3), pfe.make_grid(8, 8),
                                      par(r, "w", 6, 4, 4, 5), par(r, "b", 6)),
-    "gfc_block_owner": gfc_owner_case,
-    "gfc_block_consumer": gfc_consumer_case,
+    "mlp2": lambda r: op_case(r, T.mlp2, arr(r, 2, 3, 4), mlp(r, 4, 6, 5)),
+    "pos_residual": lambda r: op_case(r, pfe.pos_residual, arr(r, 2, 4, 4, 3), par(r, "k", 3, 3, 3)),
+    "init_centers": lambda r: op_case(r, gfc.init_centers, arr(r, 2, 4, 4, 3), 2, 2),
+    "soft_aggregate_cosine": lambda r: op_case(r, gfc.soft_aggregate, arr(r, 2, 2, 4, 3),
+                                               arr(r, 2, 2, 9, 3), arr(r, 2, 2, 9, 3),
+                                               T.Parameter("tau_raw", F32(0.5))),
+    "soft_aggregate_dot": lambda r: op_case(r, gfc.soft_aggregate, arr(r, 2, 2, 4, 3),
+                                            arr(r, 2, 2, 9, 3), arr(r, 2, 2, 9, 3), None),
+    "gated_fuse": lambda r: op_case(r, gfc.gated_fuse, arr(r, 2, 4, 3), arr(r, 2, 4, 3), mlp(r, 6, 3, 1)),
+    "project_queries": lambda r: op_case(r, gfc.project_queries, arr(r, 2, 4, 6), par(r, "w_q", 6, 6), 2),
+    "compute_assignment": lambda r: op_case(r, gfc.compute_assignment, arr(r, 2, 2, 9, 3),
+                                            arr(r, 2, 2, 4, 3), 1.5, -0.2),
+    "dispatch": dispatch_case,
+    "gfc_block_owner": gfc_case(owns=True),
+    "gfc_block_consumer": gfc_case(owns=False),
+    "gfc_block_owner_fa_off": gfc_case(True, gfc.BlockFlags(fa=False)),
+    "gfc_block_consumer_fa_off": gfc_case(False, gfc.BlockFlags(fa=False)),
+    "gfc_block_owner_tcos_off": gfc_case(True, gfc.BlockFlags(tcos=False)),
+    "gfc_block_consumer_tcos_off": gfc_case(False, gfc.BlockFlags(tcos=False)),
     "linear_transition": transition_case(icp.linear_transition_forward, icp.make_linear_transition),
     # Only the forward promotes now: _pool_means divides float32 sums by int64
     # counts, so the pooled means and the output are float64, while dx is cast
