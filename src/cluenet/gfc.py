@@ -204,6 +204,9 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
     accumulate in place.
     """
     heads, m = centers_h.shape[1:3]
+    if assign.cols.dtype.kind not in "iu" or assign.weights.shape != assign.cols.shape:
+        raise ConfigError(f"assignment needs integer cols and weights of their shape, got cols "
+                          f"{assign.cols.dtype} {assign.cols.shape}, weights {assign.weights.shape}")
     lo, hi = int(assign.cols.min(initial=0)), int(assign.cols.max(initial=0))
     if lo < 0 or hi >= m:
         raise ConfigError(f"assignment references center {lo if lo < 0 else hi} of {m}")
@@ -349,10 +352,9 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     n = hh * ww
     heads, dp = p.heads, p.dp
     gh, gw = p.grid_hw
-    if shared is not None and (shared.cols.shape != (bsz, heads, n) or shared.m != gh * gw
-                               or shared.weights.shape != shared.cols.shape):
-        raise ConfigError(f"shared assignment cols {shared.cols.shape}, weights {shared.weights.shape}"
-                          f", m={shared.m} do not match block ({bsz},{heads},{n})/m={gh * gw}")
+    if shared is not None and (shared.cols.shape != (bsz, heads, n) or shared.m != gh * gw):
+        raise ConfigError(f"shared assignment cols {shared.cols.shape}, m={shared.m}"
+                          f" do not match block ({bsz},{heads},{n})/m={gh * gw}")
     to_heads = lambda a: split_heads(a.reshape(bsz, n, dp), heads)    # (B,H,W,d') -> (B,M,n,dh)
     to_map = lambda a_h: merge_heads(a_h).reshape(bsz, hh, ww, dp)   # (B,M,n,dh) -> (B,H,W,d')
 

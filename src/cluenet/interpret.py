@@ -122,11 +122,12 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     canonicalized by first appearance, so k == m yields the identity
     labeling and k == 1 all zeros.
     """
-    centers = np.asarray(centers, dtype=np.float64)
+    centers = np.asarray(centers)
     if centers.ndim != 2:
         raise DimensionError(f"kmeans_merge: centers must be (m, c), got shape {centers.shape}")
-    if not np.all(np.isfinite(centers)):
-        raise ConfigError("kmeans_merge: centers must be finite")
+    if centers.dtype.kind not in "biuf" or not np.all(np.isfinite(centers)):
+        raise ConfigError(f"kmeans_merge: centers must be finite numbers, got {centers.dtype}")
+    centers = centers.astype(np.float64, copy=False)
     m = centers.shape[0]
     if not (_is_int(k) and 1 <= k <= m):
         raise ConfigError(f"k must be an integer in [1,{m}], got {k}")
@@ -234,8 +235,8 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DimensionError(f"render_overlay: image must be (H, W, 3), got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ConfigError("render_overlay: image must be finite")
+    if img.dtype.kind not in "biuf" or not np.all(np.isfinite(img)):
+        raise ConfigError(f"render_overlay: image must be finite numbers, got {img.dtype}")
     if img.dtype == np.uint8:
         base = img.astype(np.float64) / 255.0
     else:
@@ -246,7 +247,7 @@ def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,
         try:    # the elements give the dtype; an empty set has none to give it
             pix = np.asarray(pset if isinstance(pset, np.ndarray) else list(pset) or np.empty(0, int))
             flat = pix.ndim == 1 and pix.dtype.kind in "iu"
-        except ValueError:      # elements of different shapes
+        except (TypeError, ValueError):      # not iterable, or elements of different shapes
             flat = False
         if not flat:
             raise DimensionError(f"pixel set {idx} is not a list of flat pixel indices")

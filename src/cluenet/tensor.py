@@ -106,8 +106,9 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     per leading index.
     """
     wmat = w.value.reshape(len(w.value), math.prod(w.value.shape[1:]))
-    if x.shape[-1] != wmat.shape[1]:
-        raise DimensionError(f"linear: input width {x.shape[-1]} != weight width {wmat.shape[1]}")
+    if x.shape[-1] != wmat.shape[1] or (bias is not None and bias.shape != wmat.shape[:1]):
+        raise DimensionError(f"linear: input width {x.shape[-1]} or bias {getattr(bias, 'shape', None)}"
+                             f" does not fit weight {wmat.shape}")
     x2 = x.reshape(-1, x.shape[-1])
     y = x2 @ wmat.T
     if bias is not None:

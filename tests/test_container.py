@@ -1,6 +1,6 @@
 """Round-trip and corruption handling for the binary tensor container."""
 
-import struct
+import hashlib
 
 import numpy as np
 import pytest
@@ -50,7 +50,7 @@ def test_truncated_payload(tmp_path):
     C.write_container(path, {"x": np.ones((4, 4), dtype=np.float32)})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="entry 0 is truncated: its 16 items run past the end"):
         C.read_container(path)
 
 
@@ -59,7 +59,7 @@ def test_truncated_header(tmp_path):
     C.write_container(path, {"x": np.ones(2, dtype=np.float32)})
     raw = path.read_bytes()
     path.write_bytes(raw[:10])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="not a CLUE container"):
         C.read_container(path)
 
 
@@ -67,7 +67,7 @@ def test_trailing_garbage(tmp_path):
     path = tmp_path / "t.clue"
     C.write_container(path, {"x": np.ones(2, dtype=np.float32)})
     path.write_bytes(path.read_bytes() + b"junk")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="4 trailing bytes"):
         C.read_container(path)
 
 
@@ -80,7 +80,7 @@ def test_unknown_dtype_code(tmp_path):
     assert raw[off] == 0
     raw[off] = 250
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"entry 0 is truncated or malformed \(KeyError: 250\)"):
         C.read_container(path)
 
 
@@ -92,7 +92,7 @@ def test_non_utf8_entry_name(tmp_path):
     assert raw[off] == ord("x")
     raw[off] = 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="not UTF-8"):
+    with pytest.raises(FormatError, match=r"entry 0 is truncated or malformed \(UnicodeDecodeError"):
         C.read_container(path)
 
 
@@ -106,13 +106,6 @@ def test_entry_name_over_65535_bytes_rejected(tmp_path):
     C.write_container(tmp_path / "ok.clue", {"x" * 0xFFFF: np.zeros(1, np.float32)})
     with pytest.raises(FormatError, match="entry name too long"):
         C.write_container(tmp_path / "t.clue", {"x" * 0x10000: np.zeros(1, np.float32)})
-
-
-def test_fnv1a64_known_vectors():
-    # Reference values for the 64-bit FNV-1a offset basis and prime.
-    assert C.fnv1a64(b"") == 0xCBF29CE484222325
-    assert C.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert C.fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
 def test_text_pack_round_trip():
@@ -131,15 +124,38 @@ def test_text_hash_detects_tamper():
 
 @pytest.mark.parametrize("size", [0, 7])
 def test_text_entry_shorter_than_its_header(size):
-    with pytest.raises(FormatError, match="text entry shorter than its hash header"):
+    with pytest.raises(FormatError, match="text entry fails its digest check"):
         C.unpack_text(np.zeros(size, dtype=np.uint8))
 
 
 def test_text_non_utf8_body_with_valid_hash():
     body = b"\xff\xfe"
-    arr = np.frombuffer(struct.pack("<Q", C.fnv1a64(body)) + body, dtype=np.uint8)
+    arr = np.frombuffer(hashlib.blake2b(body, digest_size=8).digest() + body, dtype=np.uint8)
     with pytest.raises(FormatError, match="not UTF-8"):
         C.unpack_text(arr)
+
+
+def test_checkpoint_config_tamper_is_caught_by_its_digest(tmp_path):
+    """Arrays carry no checksum, so the file still reads; the config text does not."""
+    path = tmp_path / "ckpt.clue"
+    body = b'{"widths": [8, 8], "num_classes": 3}'
+    C.write_container(path, {"w": np.ones((2, 3), np.float32),
+                             "__config__": C.pack_text(body.decode()),
+                             "b": np.zeros(3, np.float64)})
+    raw = bytearray(path.read_bytes())
+    at = raw.index(body) + body.index(b"3}")
+    raw[at] ^= 0x01                    # "3" -> "2": still valid UTF-8 and JSON
+    path.write_bytes(bytes(raw))
+    out = C.read_container(path)
+    assert list(out) == ["w", "__config__", "b"]
+    with pytest.raises(FormatError, match="digest"):
+        C.unpack_text(out["__config__"])
+
+
+@pytest.mark.parametrize("name", [3, b"x", "\udc80"], ids=["int", "bytes", "lone-surrogate"])
+def test_write_rejects_entry_name_that_is_not_a_utf8_str(tmp_path, name):
+    with pytest.raises(FormatError, match="is not a UTF-8 str"):
+        C.write_container(tmp_path / "t.clue", {name: np.zeros(1, np.float32)})
 
 
 def test_corrupt_rank_raises_format_error(tmp_path):
@@ -151,7 +167,7 @@ def test_corrupt_rank_raises_format_error(tmp_path):
     assert raw[16] == 2
     raw[16] = 14      # its dims run into the payload and include a 0
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"entry 0 is truncated or malformed \(ValueError"):
         C.read_container(path)
 
 

@@ -338,10 +338,15 @@ def test_dispatch_shared_center_equal_increments():
     np.testing.assert_allclose(inc[0, 0], inc[0, 1], rtol=1e-12)
 
 
-@pytest.mark.parametrize("col", [5, -1])
-def test_dispatch_dangling_index(col):
-    with pytest.raises(ConfigError, match=f"center {col} of 2"):
-        gfc.dispatch(np.zeros((1, 2, 3)), _toy_assignment([[[col, 0]]], [[[0.5, 0.5]]]),
+@pytest.mark.parametrize("cols, weights, match", [
+    (np.int32([[[5, 0]]]), [[[0.5, 0.5]]], "center 5 of 2"),
+    (np.int32([[[-1, 0]]]), [[[0.5, 0.5]]], "center -1 of 2"),
+    (np.int32([[[1, 0]]]), [[[0.5, 0.5, 0.5]]], r"int32 \(1, 1, 2\), weights \(1, 1, 3\)"),
+    (np.float32([[[1, 0]]]), [[[0.5, 0.5]]], "integer cols .* float32"),
+], ids=["5", "-1", "weights_wider_than_cols", "float32_cols"])
+def test_dispatch_dangling_index(cols, weights, match):
+    with pytest.raises(ConfigError, match=match):
+        gfc.dispatch(np.zeros((1, 2, 3)), gfc.HardAssignment(cols, np.asarray(weights), m=2),
                      np.zeros((1, 1, 2, 4)), param("fc", np.zeros((3, 4))),
                      param("b", np.zeros(3)))
 
@@ -430,6 +435,10 @@ def test_block_shared_shape_mismatch():
                                        st1.assignment.m)
     with pytest.raises(ConfigError, match=r"weights \(1, 2, 5\)"):
         gfc.gfc_block_forward(x, p2, shared=short_weights)
+    float_cols = gfc.HardAssignment(st1.assignment.cols.astype(np.float32),
+                                    st1.assignment.weights, st1.assignment.m)
+    with pytest.raises(ConfigError, match="integer cols"):
+        gfc.gfc_block_forward(x, p2, shared=float_cols)
 
 
 @pytest.mark.parametrize("owns", [False, True],

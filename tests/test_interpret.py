@@ -478,11 +478,13 @@ def test_render_overlay_rejects_row_col_tuples(tmp_path):
     assert not (tmp_path / "o.ppm").exists()
 
 
-NOT_FLAT = {   # id: a pixel set whose elements are not all flat integer indices
+NOT_FLAT = {   # id: a pixel set that is not a collection of flat integer indices
     "floats": {0.5, 1.7},
     "a digit string": {"3"},
     "a bool": {True},
     "a tuple beside an int": {(0, 1), 3},
+    "None": None,
+    "an int": 3,
 }
 
 
@@ -502,9 +504,9 @@ def test_render_overlay_rejects_non_rgb_image(tmp_path, shape):
     assert not (tmp_path / "o.ppm").exists()
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "x", None])
 def test_render_overlay_rejects_non_finite_image(tmp_path, value):
-    image = np.zeros((4, 4, 3))
+    image = np.zeros((4, 4, 3)).astype(object if value is None else type(value))
     image[1, 2, 0] = value
     with pytest.raises(ConfigError, match="image must be finite"):
         interpret.render_overlay(image, [{0}], interpret.OverlaySpec(), tmp_path / "o.ppm")
@@ -589,9 +591,10 @@ def test_kmeans_accepts_a_numpy_integer_k():
                                   interpret.kmeans_merge(centers, k=2))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "a", None])
 def test_kmeans_rejects_non_finite_centers(value):
     centers = np.random.default_rng(0).standard_normal((5, 2))
+    centers = centers.astype(object if value is None else type(value))
     centers[3, 1] = value
     with pytest.raises(ConfigError, match="centers must be finite"):
         interpret.kmeans_merge(centers, k=2)

@@ -47,6 +47,8 @@ def test_linear_zero_weights():
 def test_linear_shape_mismatch():
     with pytest.raises(DimensionError):
         T.linear(np.zeros((2, 3)), param("w", np.zeros((4, 5))))
+    with pytest.raises(DimensionError, match=r"bias \(5,\) does not fit weight \(4, 3\)"):
+        T.linear(np.zeros((2, 3)), param("w", np.zeros((4, 3))), param("b", np.zeros(5)))
 
 
 def _linear_run(x, w, b, dy):
