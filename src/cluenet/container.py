@@ -33,26 +33,24 @@ _KIND_TO_CODE = {(dt.kind, dt.itemsize): code for code, dt in _CODE_TO_DTYPE.ite
 
 
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
-    """Write a name -> array mapping; iteration order is preserved on read."""
+    """Write a name -> array mapping; iteration order is preserved on read.
+
+    Every entry is encoded before ``path`` is opened, so an entry that cannot
+    be written raises FormatError and leaves ``path`` as it was."""
+    parts = [MAGIC, struct.pack("<II", VERSION, len(entries))]
+    for name, arr in entries.items():
+        try:    # the u16 name length and u32 dims bound what struct.pack accepts
+            arr = np.asarray(arr)
+            code = _KIND_TO_CODE[arr.dtype.kind, arr.dtype.itemsize]
+            name_b = name.encode("utf-8")
+            parts.append(struct.pack(f"<H{len(name_b)}sBB{arr.ndim}I",
+                                     len(name_b), name_b, code, arr.ndim, *arr.shape))
+            parts.append(np.ascontiguousarray(arr, _CODE_TO_DTYPE[code]))   # written from its buffer
+        except (ValueError, KeyError, AttributeError, UnicodeEncodeError, struct.error) as exc:
+            raise FormatError(f"entry {name!r:.40} cannot be written"
+                              f" ({type(exc).__name__}: {exc})") from exc
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(entries)))
-        for name, arr in entries.items():
-            arr = np.asarray(arr)  # tobytes() below writes C order; 0-d stays 0-d
-            code = _KIND_TO_CODE.get((arr.dtype.kind, arr.dtype.itemsize))
-            if code is None:
-                raise FormatError(f"unsupported array dtype {arr.dtype}")
-            try:
-                name_b = name.encode("utf-8")
-            except (AttributeError, UnicodeEncodeError) as exc:
-                raise FormatError(f"entry name {name!r} is not a UTF-8 str") from exc
-            if len(name_b) > 0xFFFF:
-                raise FormatError(f"entry name too long: {name[:40]}...")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<BB", code, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes())
+        fh.writelines(parts)
 
 
 def read_container(path) -> dict[str, np.ndarray]:

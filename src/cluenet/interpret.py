@@ -122,7 +122,10 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
     canonicalized by first appearance, so k == m yields the identity
     labeling and k == 1 all zeros.
     """
-    centers = np.asarray(centers)
+    try:
+        centers = np.asarray(centers)
+    except ValueError as exc:
+        raise DimensionError("kmeans_merge: centers must be (m, c), got ragged rows") from exc
     if centers.ndim != 2:
         raise DimensionError(f"kmeans_merge: centers must be (m, c), got shape {centers.shape}")
     if centers.dtype.kind not in "biuf" or not np.all(np.isfinite(centers)):
@@ -200,20 +203,14 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM written by write_ppm."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6" or parts[2] != b"255":
-        raise FormatError(f"{path}: not a P6/255 PPM")
-    try:
+        parts = fh.read().split(b"\n", 3)
+    try:    # the sign is checked apart: a -1 1 header reshapes a 3-byte payload
         w, h = (int(v) for v in parts[1].split())
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad PPM size line {parts[1]!r}") from exc
-    if w < 0 or h < 0:
-        raise FormatError(f"{path}: negative PPM size {w}x{h}")
-    pixels = np.frombuffer(parts[3], dtype=np.uint8)
-    if pixels.size != h * w * 3:
-        raise FormatError(f"{path}: payload size {pixels.size} != {h * w * 3}")
-    return pixels.reshape(h, w, 3)
+        if parts[0] == b"P6" and parts[2] == b"255" and w >= 0 and h >= 0:
+            return np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w, 3)
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"{path}: not a P6/255 PPM ({type(exc).__name__}: {exc})") from exc
+    raise FormatError(f"{path}: not a P6/255 PPM of non-negative size")
 
 
 def render_overlay(image: np.ndarray, pixel_sets: list, spec: OverlaySpec,

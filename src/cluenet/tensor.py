@@ -36,9 +36,7 @@ class Parameter:
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        value = np.asarray(value)
-        # ascontiguousarray would promote 0-d scalars to shape (1,)
-        self.value = value if value.ndim == 0 else np.ascontiguousarray(value)
+        self.value = np.require(np.asarray(value), requirements="C")
         self.grad: np.ndarray | None = None
 
     @property

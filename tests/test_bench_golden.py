@@ -7,17 +7,13 @@ fails these checks, although every package test may still pass. These
 tests read cluebench/ and change nothing in it.
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
 
-
+@pytest.mark.usefixtures("bench_root")
 @pytest.mark.parametrize("preset", ["tiny", "small"])
-def test_seeded_network_matches_golden_and_finite_difference(monkeypatch, preset):
-    monkeypatch.syspath_prepend(str(ROOT))    # wherever pytest was started
+def test_seeded_network_matches_golden_and_finite_difference(preset):
     from cluebench import checks, model
 
     net64 = model.cast(model.build(model.PRESETS[preset], 0), np.float64)

@@ -7,20 +7,20 @@ tests read cluebench/ and change nothing in it.
 """
 
 import ast
-from pathlib import Path
+
+import pytest
 
 from cluenet import container, gfc, icp, interpret, pfe
 from cluenet import tensor as T
 
-ROOT = Path(__file__).resolve().parents[1]
 MODULES = {"gfc": gfc, "icp": icp, "interpret": interpret, "pfe": pfe,
            "container": container, "T": T}
 
 
-def bench_names() -> set[tuple[str, str]]:
+def bench_names(root) -> set[tuple[str, str]]:
     """(module alias, attribute) of every ``gfc.X``-style read in cluebench/*.py."""
     found = set()
-    for path in sorted((ROOT / "cluebench").glob("*.py")):
+    for path in sorted((root / "cluebench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in MODULES):
@@ -28,18 +28,18 @@ def bench_names() -> set[tuple[str, str]]:
     return found
 
 
-def test_every_package_name_the_benchmark_reads_exists():
-    names = bench_names()
+def test_every_package_name_the_benchmark_reads_exists(bench_root):
+    names = bench_names(bench_root)
     assert len(names) >= 40, f"found only {len(names)} names; did the scan break?"
     missing = [f"{mod}.{attr}" for mod, attr in sorted(names)
                if not hasattr(MODULES[mod], attr)]
     assert not missing, "cluebench reads names the package no longer has: " + ", ".join(missing)
 
 
-def test_benchmark_tracer_finds_every_name_it_patches(monkeypatch):
+@pytest.mark.usefixtures("bench_root")
+def test_benchmark_tracer_finds_every_name_it_patches():
     """Entering the tracer looks up every function it wraps; leaving it
     puts the originals back."""
-    monkeypatch.syspath_prepend(str(ROOT))    # wherever pytest was started
     from cluebench import model, spans
 
     before = {name: getattr(gfc, name) for name in spans._GFC_MARKS}

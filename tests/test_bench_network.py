@@ -9,20 +9,15 @@ step passes its own checks. These tests read cluebench/ and change nothing
 in it.
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from test_interpret import render_overlay_oracle
 
 from cluenet import interpret
 
-ROOT = Path(__file__).resolve().parents[1]
-
 
 @pytest.fixture
-def bench(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT))    # wherever pytest was started
+def bench(bench_root):
     from cluebench import checks, model
     return checks, model
 

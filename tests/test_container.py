@@ -96,16 +96,39 @@ def test_non_utf8_entry_name(tmp_path):
         C.read_container(path)
 
 
-def test_unsupported_write_dtype(tmp_path):
-    with pytest.raises(FormatError):
-        C.write_container(tmp_path / "t.clue", {"x": np.ones(2, dtype=np.int64)})
+def test_entry_name_of_65535_bytes_round_trips(tmp_path):
+    """The name length is a u16: 0xFFFF bytes is the longest name (one more is in BAD_WRITES)."""
+    entries = {"x" * 0xFFFF: np.zeros(1, np.float32)}
+    C.write_container(tmp_path / "ok.clue", entries)
+    assert list(C.read_container(tmp_path / "ok.clue")) == list(entries)
 
 
-def test_entry_name_over_65535_bytes_rejected(tmp_path):
-    """The name length is a u16; a longer name would wrap and corrupt the file."""
-    C.write_container(tmp_path / "ok.clue", {"x" * 0xFFFF: np.zeros(1, np.float32)})
-    with pytest.raises(FormatError, match="entry name too long"):
-        C.write_container(tmp_path / "t.clue", {"x" * 0x10000: np.zeros(1, np.float32)})
+ONE = np.zeros(1, np.float32)
+BAD_WRITES = {   # id: (entries, the start of the FormatError message, which names the bad entry)
+    "int64 array": ({"x": np.ones(2, np.int64)}, "entry 'x' cannot be written"),
+    "65536-byte name": ({"x" * 0x10000: ONE}, "entry 'x{39} cannot be written"),
+    "int name": ({3: ONE}, "entry 3 cannot be written"),
+    "bytes name": ({b"x": ONE}, "entry b'x' cannot be written"),
+    "lone-surrogate name": ({"\udc80": ONE}, r"entry '\\udc80' cannot be written"),
+    "dimension 2**32": ({"e": np.zeros((0, 2**32), np.float32)}, "entry 'e' cannot be written"),
+    "ragged list": ({"r": [[1.0, 2.0], [3.0]]}, "entry 'r' cannot be written"),
+    "good entry then bad": ({"a": ONE, "b": np.ones(2, np.int64)}, "entry 'b' cannot be written"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_WRITES))
+def test_rejected_write_leaves_no_file_and_keeps_an_existing_one(tmp_path, bad):
+    """Every entry is encoded before the file is opened, so a rejection
+    writes nothing: no new file appears and an old one keeps its bytes."""
+    entries, message = BAD_WRITES[bad]
+    old = tmp_path / "old.clue"
+    C.write_container(old, {"keep": np.arange(3, dtype=np.float32)})
+    before = old.read_bytes()
+    for path in (tmp_path / "new.clue", old):
+        with pytest.raises(FormatError, match=message):
+            C.write_container(path, entries)
+    assert [p.name for p in tmp_path.iterdir()] == ["old.clue"]
+    assert old.read_bytes() == before
 
 
 def test_text_pack_round_trip():
@@ -150,12 +173,6 @@ def test_checkpoint_config_tamper_is_caught_by_its_digest(tmp_path):
     assert list(out) == ["w", "__config__", "b"]
     with pytest.raises(FormatError, match="digest"):
         C.unpack_text(out["__config__"])
-
-
-@pytest.mark.parametrize("name", [3, b"x", "\udc80"], ids=["int", "bytes", "lone-surrogate"])
-def test_write_rejects_entry_name_that_is_not_a_utf8_str(tmp_path, name):
-    with pytest.raises(FormatError, match="is not a UTF-8 str"):
-        C.write_container(tmp_path / "t.clue", {name: np.zeros(1, np.float32)})
 
 
 def test_corrupt_rank_raises_format_error(tmp_path):

@@ -94,27 +94,15 @@ def test_read_trace_rejects_empty_count_entry(tmp_path, key):
         interpret.read_trace(path)
 
 
-def test_read_ppm_bad_size_line(tmp_path):
-    path = tmp_path / "bad.ppm"
-    path.write_bytes(b"P6\nfoo bar\n255\n")
-    with pytest.raises(FormatError):
-        interpret.read_ppm(path)
-
-
-def test_read_ppm_negative_size(tmp_path):
-    """-1 x -1 x 3 is the 3-byte payload's size, so only the sign shows the fault."""
-    path = tmp_path / "bad.ppm"
-    path.write_bytes(b"P6\n-1 -1\n255\n" + bytes(3))
-    with pytest.raises(FormatError, match="negative"):
-        interpret.read_ppm(path)
-
-
 BAD_PPMS = {   # id: (file bytes, fixed part of the message)
-    "P5 magic": (b"P5\n1 1\n255\n" + bytes(1), "not a P6/255 PPM"),
-    "maxval 65535": (b"P6\n1 1\n65535\n" + bytes(6), "not a P6/255 PPM"),
-    "no payload line": (b"P6\n1 1\n255", "not a P6/255 PPM"),
-    "payload 1 byte short": (b"P6\n2 1\n255\n" + bytes(5), "payload size 5 != 6"),
-    "payload 1 byte long": (b"P6\n2 1\n255\n" + bytes(7), "payload size 7 != 6"),
+    "P5 magic": (b"P5\n1 1\n255\n" + bytes(1), "not a P6/255 PPM of non-negative size"),
+    "maxval 65535": (b"P6\n1 1\n65535\n" + bytes(6), "not a P6/255 PPM of non-negative size"),
+    # -1 x 1 x 3 is the 3-byte payload's size, so only the sign check rejects it
+    "-1 x 1 with a 3-byte payload": (b"P6\n-1 1\n255\n" + bytes(3), "not a P6/255 PPM of non-negative size"),
+    "size line 'foo bar'": (b"P6\nfoo bar\n255\n", r"not a P6/255 PPM \(ValueError: invalid literal"),
+    "no payload line": (b"P6\n1 1\n255", r"not a P6/255 PPM \(IndexError"),
+    "payload 1 byte short": (b"P6\n2 1\n255\n" + bytes(5), r"\(ValueError: cannot reshape array of size 5 "),
+    "payload 1 byte long": (b"P6\n2 1\n255\n" + bytes(7), r"\(ValueError: cannot reshape array of size 7 "),
 }
 
 
@@ -600,7 +588,8 @@ def test_kmeans_rejects_non_finite_centers(value):
         interpret.kmeans_merge(centers, k=2)
 
 
-@pytest.mark.parametrize("shape", [(5,), (5, 2, 1)])
-def test_kmeans_rejects_non_matrix_centers(shape):
+@pytest.mark.parametrize("centers", [np.zeros(5), np.zeros((5, 2, 1)), [[1.0, 2.0], [3.0]]],
+                         ids=["shape0", "shape1", "ragged"])
+def test_kmeans_rejects_non_matrix_centers(centers):
     with pytest.raises(DimensionError, match=r"\(m, c\)"):
-        interpret.kmeans_merge(np.zeros(shape), k=1)
+        interpret.kmeans_merge(centers, k=1)

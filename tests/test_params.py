@@ -80,3 +80,8 @@ def test_patch_embed_params_names():
     p = pfe.PatchEmbedParams(zeros("stem.weight", (2, pfe.PATCH, pfe.PATCH, 5)),
                              zeros("stem.bias", 2), zeros("stem.dw", (3, 3, 2)))
     assert names(p) == ["stem.weight", "stem.bias", "stem.dw"]
+
+
+def test_parameter_stores_a_c_contiguous_array_and_keeps_0d():
+    assert T.Parameter("w", np.arange(6.0).reshape(2, 3).T).value.flags.c_contiguous
+    assert T.Parameter("s", np.float64(2.0)).value.shape == ()
