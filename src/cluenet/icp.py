@@ -84,7 +84,8 @@ def _pool_means(vectors: np.ndarray, owner: np.ndarray, seeds: np.ndarray):
     def backward(d_pooled: np.ndarray):
         d_members = np.where(empty[..., None], 0.0, d_pooled / denom)
         d_seeds = np.where(empty[..., None], d_pooled, 0.0)
-        return onehot @ d_members, d_seeds
+        # each pixel's row of the one-hot matrix holds one 1, so a gather is its product
+        return d_members[np.arange(len(owner))[:, None], owner], d_seeds
 
     return pooled, backward
 
@@ -104,6 +105,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     h2, w2 = hh // 2, ww // 2
     m = h2 * w2
     n = hh * ww
+    dtype = x.dtype
 
     xn, back_norm = T.layer_norm(x, p.norm_g, p.norm_b)
     s_map, back_projf = T.linear(xn, p.proj_f)               # (B,H,W,d_s)
@@ -118,9 +120,9 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     def backward(d_out: np.ndarray) -> np.ndarray:
         d_pooled = back_projv(d_out.reshape(bsz, m, p.d_out))
         d_s_flat, d_seeds = back_means(d_pooled)
-        d_s_map = d_s_flat.reshape(s_map.shape) + back_seeds(d_seeds)
+        d_s_map = d_s_flat.reshape(bsz, hh, ww, p.d_in) + back_seeds(d_seeds)
         # _pool_means promotes float32 to float64; keep that out of the stage before
-        return back_norm(back_projf(d_s_map)).astype(x.dtype, copy=False)
+        return back_norm(back_projf(d_s_map)).astype(dtype, copy=False)
 
     return out, assign, backward
 

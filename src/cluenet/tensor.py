@@ -5,6 +5,10 @@ float64 (used by all gradient checks). Every operation here returns
 ``(out, backward)`` where ``backward`` maps the upstream gradient to input
 gradients and accumulates parameter gradients in place. There is no
 autodiff graph; composite modules chain these closures explicitly.
+
+A backward closure holds only the arrays its formula reads, and it reads
+shapes from those arrays: everything it holds stays alive until the
+backward runs, so an input kept for its shape adds to peak memory.
 """
 
 from __future__ import annotations
@@ -117,22 +121,20 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
         w.add_grad((dy2.T @ x2).reshape(w.value.shape))
         if bias is not None:
             bias.add_grad(dy2.sum(axis=0))
-        return (dy2 @ wmat).reshape(x.shape)
+        return (dy2 @ wmat).reshape(*dy.shape[:-1], wmat.shape[1])
 
     return y.reshape(*x.shape[:-1], y.shape[-1]), backward
 
 
 def gelu(x: np.ndarray):
     """Exact (erf-based) GELU."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    cdf = 0.5 * (1.0 + special.erf(x * inv_sqrt2))
-    y = x * cdf
+    cdf = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+    slope = cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return dy * (cdf + x * pdf)
+        return dy * slope
 
-    return y, backward
+    return x * cdf, backward
 
 
 # Only cluebench/spans.py reads this table; mlp2 calls gelu directly.
@@ -196,18 +198,21 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
         raise ConfigError(f"dwconv2d kernel size must be odd, got {k}")
     if c != kshape[2]:
         raise DimensionError(f"dwconv2d: channels {c} != kernel channels {kshape[2]}")
-    pad = ((0, 0), (k // 2, k // 2), (k // 2, k // 2), (0, 0))
+    r = k // 2
 
     def taps(a: np.ndarray) -> np.ndarray:
         """(B, k, k, C, H, W) view: taps(a)[:, u, v] is ``a`` shifted by tap (u, v)."""
-        return np.lib.stride_tricks.sliding_window_view(np.pad(a, pad), (h, w_), axis=(1, 2))
+        padded = np.zeros((len(a), h + 2 * r, w_ + 2 * r, c), a.dtype)
+        padded[:, r:r + h, r:r + w_] = a
+        return np.lib.stride_tricks.sliding_window_view(padded, (h, w_), axis=(1, 2))
 
-    x_taps = taps(x)
-    y = np.einsum("buvchw,uvc->bhwc", x_taps, kernel.value)
+    y = np.einsum("buvchw,uvc->bhwc", taps(x), kernel.value)
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", x_taps, dy))
-        return np.einsum("buvchw,uvc->bhwc", taps(dy), kernel.value[::-1, ::-1])
+        # x's tap (u, v) meets dy's tap (k-1-u, k-1-v), so dy is padded once for both gradients
+        dy_taps = taps(dy)
+        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", dy_taps, x)[::-1, ::-1])
+        return np.einsum("buvchw,uvc->bhwc", dy_taps, kernel.value[::-1, ::-1])
 
     return y, backward
 
@@ -275,7 +280,7 @@ def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
     y = xh * gamma.value + beta.value
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        d = x.shape[-1]
+        d = xh.shape[-1]
         gamma.add_grad((dy * xh).reshape(-1, d).sum(axis=0))
         beta.add_grad(dy.reshape(-1, d).sum(axis=0))
         gdy = dy * gamma.value

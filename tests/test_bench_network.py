@@ -4,10 +4,14 @@ The assembled network lives only in cluebench/, so these tests import it to
 check what no package test can: a batch is its images run one at a time,
 checkpoints round-trip bit for bit, the copy of gfc.compute_assignment
 in checks.forced_assignments, which the benchmark's float64 comparison
-runs, still computes what the package does, and the benchmark's explain
-step passes its own checks. These tests read cluebench/ and change nothing
+runs, still computes what the package does, the benchmark's explain
+step passes its own checks, and a forward holds no more memory than its
+backward needs. These tests read cluebench/ and change nothing
 in it.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,3 +94,27 @@ def test_explain_step_passes_the_benchmark_checks(bench, tmp_path, preset):
                   for g in range(run.MERGE_K)]
         spec = interpret.OverlaySpec(interpret.default_palette(run.MERGE_K), outline=True)
         assert ex.rendered.tobytes() == render_overlay_oracle(x[0], merged, spec).tobytes()
+
+
+# Bytes a B=2 float32 small forward leaves held (logits, record and the
+# backward closures), by tracemalloc: 41.09 MB when each closure keeps only
+# what its gradient reads, plus about 7% slack. Closures that also keep
+# inputs read for their shape, padded conv inputs and GELU's inputs hold
+# 52.73 MB and fail.
+HELD_AFTER_FORWARD = 44_000_000
+
+
+def test_forward_holds_only_what_backward_reads(bench):
+    _, model = bench
+    net = model.build(model.SMALL, 0)
+    x, _ = seeded_batch(net.preset, 2)
+    x = x.astype(np.float32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = model.forward(net, x)     # logits, record and backward stay alive
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= HELD_AFTER_FORWARD, f"{held / 1e6:.2f} MB held after one forward"

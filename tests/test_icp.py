@@ -165,6 +165,13 @@ def test_pool_means_match_scatter_oracle(dtype):
     for got, exp in zip(back(d_pooled), back_want(d_pooled)):
         assert got.dtype == exp.dtype
         np.testing.assert_array_equal(got, exp)
+    # each pixel's row of the one-hot matrix holds one 1, so the gather in
+    # backward has the bytes of the one-hot matmul
+    onehot = owner[..., None] == np.arange(m)
+    denom = np.maximum(onehot.sum(axis=1), 1)[..., None]
+    d_members = np.where(onehot.any(axis=1)[..., None], d_pooled / denom, 0.0)
+    got, want = back(d_pooled)[0], onehot @ d_members
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_odd_extent_rejected():

@@ -1,0 +1,93 @@
+"""Backward closures keep only the arrays their gradient formulas read.
+
+Every array a closure holds stays alive until the backward has run, so
+an input kept only for its ``.shape`` or a padded copy kept for
+convenience adds to the peak memory of a training step.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from closures import closure_arrays
+from cluenet import gfc, icp
+from cluenet import tensor as T
+
+F64 = np.float64
+
+
+def param(name, value):
+    return T.Parameter(name, np.asarray(value, dtype=F64))
+
+
+def shapes(arrays):
+    return sorted(a.shape for a in arrays)
+
+
+def test_layer_norm_holds_xh_and_s_only():
+    x = np.random.default_rng(0).normal(size=(2, 3, 4, 5))
+    _, back = T.layer_norm(x, param("g", np.ones(5)), param("b", np.zeros(5)))
+    assert shapes(closure_arrays(back)) == [(2, 3, 4, 1), (2, 3, 4, 5)]
+    assert not any(a is x for a in closure_arrays(back))
+
+
+def test_gelu_holds_one_array_of_the_input_shape():
+    x = np.random.default_rng(1).normal(size=(2, 3, 4))
+    _, back = T.gelu(x)
+    held = closure_arrays(back)
+    assert shapes(held) == [x.shape] and held[0] is not x
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_dwconv_holds_its_input_and_nothing_padded(k):
+    x = np.random.default_rng(2).normal(size=(2, 4, 6, 3))
+    _, back = T.dwconv2d(x, param("k", np.ones((k, k, 3))))
+    held = closure_arrays(back)
+    assert len(held) == 1 and held[0] is x
+
+
+def test_pool_means_holds_no_onehot_mask():
+    rng = np.random.default_rng(3)
+    bsz, n, m, c = 2, 12, 3, 4
+    owner = rng.integers(0, m, size=(bsz, n)).astype(np.int32)
+    _, back = icp._pool_means(rng.normal(size=(bsz, n, c)), owner, rng.normal(size=(bsz, m, c)))
+    held = closure_arrays(back)
+    assert all(a.shape != (bsz, n, m) for a in held)
+    assert any(a is owner for a in held)
+
+
+def _block(rng, owns):
+    return gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), owns_assignment=owns, dtype=F64)
+
+
+def _gfc_owner(x):
+    return gfc.gfc_block_forward(x, _block(np.random.default_rng(4), True))
+
+
+def _gfc_consumer(x):
+    rng = np.random.default_rng(5)
+    _, st, _ = gfc.gfc_block_forward(rng.normal(size=x.shape), _block(rng, True))
+    return gfc.gfc_block_forward(x, _block(rng, False), shared=st.assignment)
+
+
+RUNS = {
+    "layer_norm": (lambda x: T.layer_norm(x, param("g", np.ones(8)), param("b", np.zeros(8)))),
+    "gelu": T.gelu,
+    "gfc_owner": _gfc_owner,
+    "gfc_consumer": _gfc_consumer,
+    "icp": lambda x: icp.icp_forward(x, icp.make_icp_params(np.random.default_rng(6), 8, 8, F64)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RUNS))
+def test_backward_does_not_keep_the_input_alive(op):
+    """Once the caller drops the input, only the outputs and the backward
+    remain, and neither refers to it."""
+    x = np.random.default_rng(7).normal(size=(2, 4, 4, 8))
+    ref = weakref.ref(x)
+    *_, back = RUNS[op](x)
+    del x
+    gc.collect()
+    assert ref() is None and callable(back)

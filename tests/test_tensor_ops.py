@@ -1,7 +1,10 @@
 """Forward semantics and finite-difference checks for the primitive layers."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from cluenet import gfc, icp, pfe
 from cluenet import tensor as T
@@ -111,6 +114,26 @@ def test_mlp2_gelu_scalar():
     np.testing.assert_allclose(y[0, 0], GELU_2, rtol=1e-12)
 
 
+def gelu_backward_oracle(x, dy):
+    """GELU's input gradient as first written: cdf and pdf kept apart and
+    combined in the backward, dy * (cdf + x * pdf)."""
+    cdf = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return dy * (cdf + x * pdf)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_gelu_backward_has_the_oracle_bytes(dtype):
+    """The slope the forward precomputes is the oracle's expression in the
+    same operation order, so the gradient keeps every bit, the signed zeros
+    and the saturated tails (|x| up to 10) included."""
+    x = np.concatenate([[-0.0, 0.0], np.linspace(-10.0, 10.0, 4001)]).astype(dtype)
+    dy = np.random.default_rng(41).normal(size=x.shape).astype(dtype)
+    _, back = T.gelu(x)
+    got, want = back(dy), gelu_backward_oracle(x, dy)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # dwconv2d
 # ---------------------------------------------------------------------------
@@ -177,6 +200,18 @@ def dwconv_loop_oracle(x, kernel, dy):
     return y, dk, dxp[:, pad:pad + h, pad:pad + w, :]
 
 
+def dwconv_einsum_oracle(x, kernel, dy):
+    """(y, dk, dx) of dwconv2d as first written: the kernel gradient sums the
+    taps of a padded copy of x against dy."""
+    h, w = x.shape[1:3]
+    r = kernel.shape[0] // 2
+    pad = ((0, 0), (r, r), (r, r), (0, 0))
+    taps = lambda a: np.lib.stride_tricks.sliding_window_view(np.pad(a, pad), (h, w), axis=(1, 2))
+    return (np.einsum("buvchw,uvc->bhwc", taps(x), kernel),
+            np.einsum("buvchw,bhwc->uvc", taps(x), dy),
+            np.einsum("buvchw,uvc->bhwc", taps(dy), kernel[::-1, ::-1]))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_dwconv_matches_tap_loop_oracle(k, dtype):
@@ -193,6 +228,10 @@ def test_dwconv_matches_tap_loop_oracle(k, dtype):
         np.testing.assert_allclose(got, want, rtol=0, atol=8 * eps * np.abs(want).max())
     flipped, _ = T.dwconv2d(dy, T.Parameter("flip", kernel.value[::-1, ::-1]))
     np.testing.assert_array_equal(dx, flipped)
+    # x's tap (u, v) meets dy's tap (k-1-u, k-1-v): summing dy's taps against x
+    # and flipping gives the padded-x kernel gradient bit for bit
+    for got, want in zip((y, kernel.grad, dx), dwconv_einsum_oracle(x, kernel.value, dy)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 # ---------------------------------------------------------------------------
