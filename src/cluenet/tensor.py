@@ -79,12 +79,14 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=F32) 
     """Normal(0, std) truncated to +-2 std, sampled via inverse CDF.
 
     One uniform draw per element, so the result is a pure function of the
-    generator state (no rejection loop).
+    generator state (no rejection loop). ``ndtri(u)`` is
+    ``sqrt(2) * erfinv(2u - 1)`` in one pass. ``lo`` stays the erf
+    expression: ``ndtr(-2)`` is 4 ulp lower and would shift every draw.
     """
     lo = 0.5 * (1.0 + math.erf(-2.0 / math.sqrt(2.0)))
     hi = 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))
     u = rng.uniform(lo, hi, size=shape)
-    return (std * math.sqrt(2.0) * special.erfinv(2.0 * u - 1.0)).astype(dtype)
+    return (std * special.ndtri(u)).astype(dtype)
 
 
 def makers(rng: np.random.Generator, name: str, dtype=F32):
@@ -97,6 +99,13 @@ def makers(rng: np.random.Generator, name: str, dtype=F32):
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in the operands' common dtype. numpy's mixed-dtype matmul copies
+    the narrower operand element by element, a transposed one slowest."""
+    dt = np.result_type(a, b)
+    return a.astype(dt, copy=False) @ b.astype(dt, copy=False)
+
 
 def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     """y[..., j] = sum_k x[..., k] * w[j, k] (+ bias[j]).
@@ -112,16 +121,16 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
         raise DimensionError(f"linear: input width {x.shape[-1]} or bias {getattr(bias, 'shape', None)}"
                              f" does not fit weight {wmat.shape}")
     x2 = x.reshape(-1, x.shape[-1])
-    y = x2 @ wmat.T
+    y = _gemm(x2, wmat.T)
     if bias is not None:
         y = y + bias.value
 
     def backward(dy: np.ndarray) -> np.ndarray:
         dy2 = dy.reshape(-1, dy.shape[-1])
-        w.add_grad((dy2.T @ x2).reshape(w.value.shape))
+        w.add_grad(_gemm(dy2.T, x2).reshape(w.value.shape))
         if bias is not None:
             bias.add_grad(dy2.sum(axis=0))
-        return (dy2 @ wmat).reshape(*dy.shape[:-1], wmat.shape[1])
+        return _gemm(dy2, wmat).reshape(*dy.shape[:-1], wmat.shape[1])
 
     return y.reshape(*x.shape[:-1], y.shape[-1]), backward
 

@@ -90,6 +90,29 @@ def test_linear_is_one_gemm_over_leading_axes(dtype):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def test_linear_mixed_dtypes_compute_in_the_wider_one():
+    """A float64 x meeting a float32 w gives bitwise the float64-weight
+    results; a float32 x meeting a float64 w is not downcast. w.grad and
+    b.grad keep their parameter's dtype either way (from a float32 x and dy
+    they are float32 sums, widened)."""
+    rng = np.random.default_rng(41)
+    x, dy = rng.normal(size=(3, 4, 32)), rng.normal(size=(3, 4, 6))
+    w, b = rng.normal(size=(6, 32)).astype(np.float32), rng.normal(size=6).astype(np.float32)
+
+    mixed = _linear_run(x, w, b, dy)
+    wide = _linear_run(x, w.astype(F64), b.astype(F64), dy)
+    assert [a.dtype for a in mixed] == [F64, F64, np.float32, np.float32]
+    for got, want in zip(mixed, wide):
+        assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+    x32, dy32 = x.astype(np.float32), dy.astype(np.float32)
+    narrow_x = _linear_run(x32, w.astype(F64), b.astype(F64), dy32)
+    wide = _linear_run(x32.astype(F64), w.astype(F64), b.astype(F64), dy32.astype(F64))
+    assert [a.dtype for a in narrow_x] == [F64] * 4
+    for got, want in zip(narrow_x[:2], wide):
+        assert got.tobytes() == want.tobytes()
+
+
 def _mlp(w1, b1, w2, b2):
     return T.Mlp2Params(param("w1", w1), param("b1", b1), param("w2", w2), param("b2", b2))
 
@@ -474,6 +497,30 @@ def test_parameter_grad_accumulates():
     np.testing.assert_array_equal(p.grad, 2 * np.ones((2, 2)))
     with pytest.raises(DimensionError):
         p.add_grad(np.ones(3))
+
+
+def _trunc_normal_erfinv(rng, shape, std, dtype):
+    """trunc_normal's earlier formula, sqrt(2) * erfinv(2u - 1): the oracle of its draws."""
+    lo = 0.5 * (1.0 + math.erf(-2.0 / math.sqrt(2.0)))
+    hi = 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))
+    u = rng.uniform(lo, hi, size=shape)
+    return (std * math.sqrt(2.0) * special.erfinv(2.0 * u - 1.0)).astype(dtype)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 2512])
+def test_trunc_normal_keeps_the_erfinv_draws(seed):
+    """float32 draws are bitwise the erfinv formula's; float64 draws agree
+    within a few ulp. (1024, 256) is the largest seeded weight of the small
+    preset (stage 4's ffn_w1)."""
+    shape = (1024, 256)
+    got = T.trunc_normal(np.random.default_rng(seed), shape, 0.02)
+    want = _trunc_normal_erfinv(np.random.default_rng(seed), shape, 0.02, np.float32)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    got = T.trunc_normal(np.random.default_rng(seed), shape, 0.02, F64)
+    want = _trunc_normal_erfinv(np.random.default_rng(seed), shape, 0.02, F64)
+    assert got.dtype == F64
+    assert np.all(np.abs(got - want) <= 16 * np.spacing(np.abs(want)))
 
 
 def test_trunc_normal_bounds_and_determinism():
