@@ -93,15 +93,15 @@ def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
     tau_raw's gradient, none inside the clamp. Without it (the ablation),
     sim is the plain dot product and tau = sqrt(head width). Returns
     (S_C @ p_v, S_C, backward); backward(d_out) -> (d_c_s, d_p_s, d_p_v).
+    backward keeps the inputs and S_C and recomputes the cosine map, if any.
     """
     if tau_raw is not None:
         tau_nat = float(np.exp(tau_raw.value))
         tau = max(tau_nat, TAU_MIN)
-        sim, back_sim = T.cosine_sim(c_s, p_s)      # (..., m, n)
+        sim = T.cosine_sim(c_s, p_s)[0]              # (..., m, n)
     else:
         tau = math.sqrt(c_s.shape[-1])
         sim = c_s @ np.swapaxes(p_s, -1, -2)
-        back_sim = lambda d_sim: (d_sim @ p_s, np.swapaxes(d_sim, -1, -2) @ c_s)
     s_c, back_soft = T.softmax(sim / tau)
     out = s_c @ p_v                                  # (..., m, dh)
 
@@ -109,11 +109,14 @@ def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
         d_sc = d_out @ np.swapaxes(p_v, -1, -2)
         d_pv = np.swapaxes(s_c, -1, -2) @ d_out
         d_logits = back_soft(d_sc)
-        if tau_raw is not None and tau_nat > TAU_MIN:
+        if tau_raw is None:
+            d_sim = d_logits / tau
+            return d_sim @ p_s, np.swapaxes(d_sim, -1, -2) @ c_s, d_pv
+        sim, back_sim = T.cosine_sim(c_s, p_s)
+        if tau_nat > TAU_MIN:
             s = float((d_logits * sim).sum())
             tau_raw.add_grad(np.asarray((-s / (tau * tau)) * tau_nat, dtype=tau_raw.value.dtype))
-        d_cs, d_ps = back_sim(d_logits / tau)
-        return d_cs, d_ps, d_pv
+        return (*back_sim(d_logits / tau), d_pv)
 
     return out, s_c, backward
 
@@ -176,16 +179,21 @@ def compute_assignment(p_s: np.ndarray, q: np.ndarray, alpha: float, beta: float
     Dense scores are sigmoid(alpha * cos(p_s, q) + beta), shape (..., n, m);
     only the per-row maximum survives. backward(d_weights) ->
     (d_p_s, d_q, d_alpha, d_beta); the column pattern is treated as constant.
+    backward keeps p_s, q and the flat column indices and recomputes the scores.
     """
-    sim, back_sim = T.cosine_sim(p_s, q)             # (..., n, m)
-    s_p, back_sig = T.sigmoid(alpha * sim + beta)
+    def scores():
+        sim, back_sim = T.cosine_sim(p_s, q)         # (..., n, m)
+        return (sim, back_sim, *T.sigmoid(alpha * sim + beta))
+
+    s_p = scores()[2]
     cols = np.argmax(s_p, axis=-1)                   # first max = lowest column
-    weights = np.take_along_axis(s_p, cols[..., None], axis=-1)[..., 0]
-    assign = HardAssignment(cols.astype(np.int32), weights, m=s_p.shape[-1])
+    flat = cols + np.arange(cols.size).reshape(cols.shape) * s_p.shape[-1]   # into s_p.ravel()
+    assign = HardAssignment(cols.astype(np.int32), np.take(s_p, flat), m=s_p.shape[-1])
 
     def backward(d_weights: np.ndarray):
+        sim, back_sim, s_p, back_sig = scores()
         d_sp = np.zeros_like(s_p)
-        np.put_along_axis(d_sp, cols[..., None], d_weights[..., None], axis=-1)
+        np.put(d_sp, flat, d_weights)
         d_z = back_sig(d_sp)
         d_alpha = float((d_z * sim).sum())
         d_beta = float(d_z.sum())
@@ -201,24 +209,29 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
 
     p is (B, n, d); centers_h is (B, M, m, dh); assign fields are (B, M, n).
     backward(d_out) -> (d_p, d_weights, d_centers_h); fc_out/b_out gradients
-    accumulate in place.
+    accumulate in place; backward repeats the gather instead of keeping it.
     """
-    heads, m = centers_h.shape[1:3]
     if assign.cols.dtype.kind not in "iu" or assign.weights.shape != assign.cols.shape:
         raise ConfigError(f"assignment needs integer cols and weights of their shape, got cols "
                           f"{assign.cols.dtype} {assign.cols.shape}, weights {assign.weights.shape}")
+    if ((p.ndim, centers_h.ndim) != (3, 4) or len(p) != len(centers_h)
+            or assign.cols.shape != (*centers_h.shape[:2], p.shape[1])):
+        raise DimensionError(f"dispatch: cols {assign.cols.shape} do not fit pixels {p.shape}"
+                             f" and centers {centers_h.shape}")
+    bsz, heads, m, dh = centers_h.shape
     lo, hi = int(assign.cols.min(initial=0)), int(assign.cols.max(initial=0))
     if lo < 0 or hi >= m:
         raise ConfigError(f"assignment references center {lo if lo < 0 else hi} of {m}")
-    sel = np.take_along_axis(centers_h, assign.cols[..., None], axis=2)   # (B, M, n, dh)
-    msg_h = assign.weights[..., None] * sel
+    rows = assign.cols + (np.arange(bsz * heads) * m).reshape(bsz, heads, 1)
+    gather = lambda: np.take(centers_h.reshape(-1, dh), rows, axis=0)    # (B, M, n, dh)
+    msg_h = assign.weights[..., None] * gather()
     msg = merge_heads(msg_h)                                   # (B, n, d')
     res, back_lin = T.linear(msg, fc_out, b_out)
     out = p + res
 
     def backward(d_out: np.ndarray):
         d_msg_h = split_heads(back_lin(d_out), heads)
-        d_weights = (d_msg_h * sel).sum(axis=-1)
+        d_weights = (d_msg_h * gather()).sum(axis=-1)
         d_sel = d_msg_h * assign.weights[..., None]
         onehot = assign.cols[..., None] == np.arange(m)                # (B, M, n, m) bool
         d_centers = np.swapaxes(onehot, -1, -2) @ d_sel

@@ -257,6 +257,8 @@ def cosine_sim(a: np.ndarray, b: np.ndarray):
     """
     if a.shape[-1] != b.shape[-1]:
         raise DimensionError(f"cosine_sim: feature widths differ ({a.shape[-1]} vs {b.shape[-1]})")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"cosine_sim: leading dimensions differ ({a.shape} vs {b.shape})")
     na = np.linalg.norm(a, axis=-1, keepdims=True)
     nb = np.linalg.norm(b, axis=-1, keepdims=True)
     mask_a = na > COSINE_EPS

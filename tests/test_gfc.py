@@ -149,6 +149,54 @@ def test_aggregate_unit_rows_match_dot_form():
     np.testing.assert_allclose(out_cos, out_dot, rtol=1e-9)
 
 
+def soft_aggregate_keep_map(c_s, p_s, p_v, tau_raw):
+    """soft_aggregate whose backward keeps the forward's similarity map and
+    its cosine closure instead of recomputing them."""
+    if tau_raw is not None:
+        tau_nat = float(np.exp(tau_raw.value))
+        tau = max(tau_nat, gfc.TAU_MIN)
+        sim, back_sim = T.cosine_sim(c_s, p_s)
+    else:
+        tau = math.sqrt(c_s.shape[-1])
+        sim = c_s @ np.swapaxes(p_s, -1, -2)
+        back_sim = lambda d_sim: (d_sim @ p_s, np.swapaxes(d_sim, -1, -2) @ c_s)
+    s_c, back_soft = T.softmax(sim / tau)
+    out = s_c @ p_v
+
+    def backward(d_out):
+        d_sc = d_out @ np.swapaxes(p_v, -1, -2)
+        d_pv = np.swapaxes(s_c, -1, -2) @ d_out
+        d_logits = back_soft(d_sc)
+        if tau_raw is not None and tau_nat > gfc.TAU_MIN:
+            s = float((d_logits * sim).sum())
+            tau_raw.add_grad(np.asarray((-s / (tau * tau)) * tau_nat, dtype=tau_raw.value.dtype))
+        d_cs, d_ps = back_sim(d_logits / tau)
+        return d_cs, d_ps, d_pv
+
+    return out, s_c, backward
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("log_tau", [math.log(0.7), math.log(gfc.TAU_MIN / 2), None],
+                         ids=["tcos", "tau_clamped", "dot"])
+def test_aggregate_recomputed_map_keeps_the_bytes(log_tau, dtype):
+    """Recomputing the cosine map in the backward changes no bit of the
+    output, S_C, the three input gradients or tau_raw's gradient."""
+    rng = np.random.default_rng(8)
+    inputs = [rng.normal(size=shape).astype(dtype) for shape in
+              [(2, 2, 4, 3), (2, 2, 9, 3), (2, 2, 9, 3)]]
+    d_out = rng.normal(size=(2, 2, 4, 3)).astype(dtype)
+    runs = []
+    for fn in (gfc.soft_aggregate, soft_aggregate_keep_map):
+        tau_raw = None if log_tau is None else T.Parameter("tau_raw", np.asarray(log_tau, dtype))
+        out, s_c, back = fn(*inputs, tau_raw)
+        runs.append([out, s_c, *back(d_out), getattr(tau_raw, "grad", None)])
+    got, want = runs
+    assert (want[-1] is not None) == (log_tau == math.log(0.7))   # only tcos inside the clamp
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or (g.dtype == w.dtype and g.tobytes() == w.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # gated_fuse
 # ---------------------------------------------------------------------------
@@ -349,6 +397,25 @@ def test_dispatch_dangling_index(cols, weights, match):
         gfc.dispatch(np.zeros((1, 2, 3)), gfc.HardAssignment(cols, np.asarray(weights), m=2),
                      np.zeros((1, 1, 2, 4)), param("fc", np.zeros((3, 4))),
                      param("b", np.zeros(3)))
+
+
+@pytest.mark.parametrize("p_shape, cols_shape, centers_shape", [
+    ((2, 5, 4), (2, 3, 5), (2, 2, 3, 2)),
+    ((2, 5, 4), (2, 2, 4), (2, 2, 3, 2)),
+    ((2, 5, 4), (2, 5), (2, 2, 3, 2)),
+    ((2, 5, 4), (1, 2, 5), (2, 2, 3, 2)),
+    ((2, 1, 4), (2, 2, 5), (2, 2, 3, 2)),
+    ((2, 5, 4), (1, 2, 5), (1, 2, 3, 2)),
+    ((2, 5, 4), (2, 2, 5), (2, 2, 6)),
+], ids=["extra_head", "n_minus_1_pixels", "2d_cols", "batch_1_cols", "1_pixel_p",
+        "batch_1_centers", "3d_centers"])
+def test_dispatch_rejects_cols_that_do_not_fit(p_shape, cols_shape, centers_shape):
+    """cols must be (B, heads, n) for p (B, n, d) and centers (B, heads, m, dh);
+    a wrong batch must not broadcast onto another image's centers."""
+    assign = gfc.HardAssignment(np.zeros(cols_shape, np.int32), np.full(cols_shape, 0.5), m=3)
+    with pytest.raises(DimensionError, match=r"dispatch: cols .* do not fit pixels"):
+        gfc.dispatch(np.zeros(p_shape), assign, np.zeros(centers_shape),
+                     param("fc", np.zeros((4, 4))), param("b", np.zeros(4)))
 
 
 def test_dispatch_grad_matches_fd():

@@ -58,6 +58,36 @@ def test_pool_means_holds_no_onehot_mask():
     assert any(a is owner for a in held)
 
 
+# Distinct sizes, so a shape names one array: B, heads, pixels, centers, head width.
+B, M, N, C, DH = 2, 3, 7, 4, 5
+
+
+def test_dispatch_holds_no_gathered_centers():
+    rng = np.random.default_rng(8)
+    cols = rng.integers(0, C, size=(B, M, N)).astype(np.int32)
+    assign = gfc.HardAssignment(cols, rng.uniform(0.2, 0.8, cols.shape), m=C)
+    _, back = gfc.dispatch(rng.normal(size=(B, N, 6)), assign, rng.normal(size=(B, M, C, DH)),
+                           param("fc", rng.normal(size=(6, M * DH))), param("b", np.zeros(6)))
+    assert (B, M, N, DH) not in shapes(closure_arrays(back))
+
+
+def test_assignment_holds_no_dense_scores():
+    rng = np.random.default_rng(9)
+    p_s, q = rng.normal(size=(B, M, N, DH)), rng.normal(size=(B, M, C, DH))
+    _, back = gfc.compute_assignment(p_s, q, 1.2, -0.3)
+    assert all(a.shape[-2:] != (N, C) for a in closure_arrays(back))
+
+
+@pytest.mark.parametrize("tcos", [True, False])
+def test_aggregate_holds_only_the_attention_it_returned(tcos):
+    rng = np.random.default_rng(10)
+    _, s_c, back = gfc.soft_aggregate(
+        rng.normal(size=(B, M, C, DH)), rng.normal(size=(B, M, N, DH)),
+        rng.normal(size=(B, M, N, DH)), param("tau_raw", 0.1) if tcos else None)
+    maps = [a for a in closure_arrays(back) if a.shape[-2:] == (C, N)]
+    assert len(maps) == 1 and maps[0] is s_c
+
+
 def _block(rng, owns):
     return gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), owns_assignment=owns, dtype=F64)
 

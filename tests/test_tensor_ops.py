@@ -387,6 +387,16 @@ def test_cosine_width_mismatch():
         T.cosine_sim(np.ones((4, 2)), np.ones((5, 3)))
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 2, 5, 4), (2, 3, 3, 4)),
+    ((2, 5, 4), (1, 3, 4)),
+    ((2, 5, 4), (3, 4)),
+], ids=["heads", "broadcast_batch", "missing_batch"])
+def test_cosine_leading_dimension_mismatch(a_shape, b_shape):
+    with pytest.raises(DimensionError, match="cosine_sim: leading dimensions differ"):
+        T.cosine_sim(np.ones(a_shape), np.ones(b_shape))
+
+
 def test_cosine_zero_vector_floor():
     y, _ = T.cosine_sim(np.zeros((1, 3)), np.ones((1, 3)))
     assert np.all(np.isfinite(y))
