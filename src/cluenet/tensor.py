@@ -6,9 +6,11 @@ float64 (used by all gradient checks). Every operation here returns
 gradients and accumulates parameter gradients in place. There is no
 autodiff graph; composite modules chain these closures explicitly.
 
-A backward closure holds only the arrays its formula reads, and it reads
-shapes from those arrays: everything it holds stays alive until the
-backward runs, so an input kept for its shape adds to peak memory.
+A backward closure holds only the arrays its formula reads, each held
+array at the precision of the gradient that reads it, and it reads shapes
+from those arrays: everything it holds stays alive until the backward
+runs, so an input kept for its shape, or kept wider than its gradient
+reads it, adds to peak memory.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(dt, copy=False) @ b.astype(dt, copy=False)
 
 
+def _narrowed(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` cast to ``dtype`` if that is narrower, else ``a`` itself: what a
+    backward holds for a gradient that is read in ``dtype``."""
+    return a if np.can_cast(a.dtype, dtype) else a.astype(dtype)
+
+
 def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     """y[..., j] = sum_k x[..., k] * w[j, k] (+ bias[j]).
 
@@ -114,7 +122,8 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     and is read as (out, prod(in)) in C order, so a patch kernel needs no
     reshape by the caller. The leading dimensions are flattened, so the
     forward and each gradient are one 2-D GEMM over all positions, not one
-    per leading index.
+    per leading index. The weight gradient is computed in ``w``'s dtype
+    when that is the narrower one, so the backward holds ``x`` in it.
     """
     wmat = w.value.reshape(len(w.value), math.prod(w.value.shape[1:]))
     if x.shape[-1] != wmat.shape[1] or (bias is not None and bias.shape != wmat.shape[:1]):
@@ -124,10 +133,11 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     y = _gemm(x2, wmat.T)
     if bias is not None:
         y = y + bias.value
+    xw = _narrowed(x2, w.value.dtype)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         dy2 = dy.reshape(-1, dy.shape[-1])
-        w.add_grad(_gemm(dy2.T, x2).reshape(w.value.shape))
+        w.add_grad(_gemm(_narrowed(dy2, w.value.dtype).T, xw).reshape(w.value.shape))
         if bias is not None:
             bias.add_grad(dy2.sum(axis=0))
         return _gemm(dy2, wmat).reshape(*dy.shape[:-1], wmat.shape[1])
@@ -196,7 +206,9 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
 
     ``x`` is (B, H, W, C); ``kernel`` is (k, k, C) with odd k. Channels
     never mix. The input gradient is the same convolution of ``dy`` with
-    the kernel flipped in both spatial axes, ``kernel[::-1, ::-1]``.
+    the kernel flipped in both spatial axes, ``kernel[::-1, ::-1]``. The
+    kernel gradient is computed in the kernel's dtype when that is the
+    narrower one, so the backward holds ``x`` in it.
     """
     _, h, w_, c = map_shape(x, "dwconv2d")
     kshape = kernel.value.shape
@@ -216,11 +228,13 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
         return np.lib.stride_tricks.sliding_window_view(padded, (h, w_), axis=(1, 2))
 
     y = np.einsum("buvchw,uvc->bhwc", taps(x), kernel.value)
+    xk = _narrowed(x, kernel.value.dtype)
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        # x's tap (u, v) meets dy's tap (k-1-u, k-1-v), so dy is padded once for both gradients
-        dy_taps = taps(dy)
-        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", dy_taps, x)[::-1, ::-1])
+        # x's tap (u, v) meets dy's tap (k-1-u, k-1-v); dy is padded once unless it is wider than the kernel
+        dy_taps, dyk = taps(dy), _narrowed(dy, kernel.value.dtype)
+        dyk_taps = dy_taps if dyk is dy else taps(dyk)
+        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", dyk_taps, xk)[::-1, ::-1])
         return np.einsum("buvchw,uvc->bhwc", dy_taps, kernel.value[::-1, ::-1])
 
     return y, backward

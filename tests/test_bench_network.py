@@ -5,9 +5,9 @@ check what no package test can: a batch is its images run one at a time,
 checkpoints round-trip bit for bit, the copy of gfc.compute_assignment
 in checks.forced_assignments, which the benchmark's float64 comparison
 runs, still computes what the package does, the benchmark's explain
-step passes its own checks, and a forward holds no more memory than its
-backward needs. These tests read cluebench/ and change nothing
-in it.
+step passes its own checks, float32 training steps pass its float64
+comparison, and a forward holds no more memory than its backward needs.
+These tests read cluebench/ and change nothing in it.
 """
 
 import gc
@@ -76,6 +76,23 @@ def test_checkpoint_round_trip_is_exact(bench, tmp_path, preset, dtype):
     assert mismatches == 0
 
 
+@pytest.mark.parametrize(("preset", "batch"), [("tiny", 8), ("small", 2)])
+def test_float32_train_step_passes_the_float64_comparison(bench, preset, batch):
+    """The benchmark's float32-vs-float64 comparison of outputs and
+    gradients passes on steps 0 and 1 of seed 5, so a precision change on
+    a gradient path fails here and not only in a benchmark run."""
+    checks, model = bench
+    from cluebench import run
+    net = model.build(model.PRESETS[preset], 0)
+    net64 = model.cast(net, np.float64)
+    for step in range(2):
+        x, labels = run.inputs(net.preset, 5, step, batch)
+        _, logits, dx, rec = model.train_step(net, x, labels)
+        out = {"logits": logits, "rec": rec, "dx": dx, "grads": [p.grad for p in net.params()]}
+        problems, _ = checks.compare_f64(net64, x, labels, out, backward=True)
+        assert not problems, f"step {step}: " + "; ".join(problems)
+
+
 @pytest.mark.parametrize("preset", ["tiny", "small"])
 def test_explain_step_passes_the_benchmark_checks(bench, tmp_path, preset):
     """run.explain's receptive fields partition the image, its trace
@@ -97,12 +114,14 @@ def test_explain_step_passes_the_benchmark_checks(bench, tmp_path, preset):
 
 
 # Bytes a B=2 float32 small forward leaves held (logits, record and the
-# backward closures), by tracemalloc: 35.52 MB when each closure keeps only
-# what its gradient reads and the clustering block's backward recomputes its
-# similarity maps and gathered centers, plus about 7% slack. Keeping those
-# holds 41.09 MB; also keeping inputs read for their shape, padded conv
-# inputs and GELU's inputs holds 52.73 MB. Both fail.
-HELD_AFTER_FORWARD = 38_000_000
+# backward closures), by tracemalloc: 29.77 MB when each closure keeps only
+# what its gradient reads, at that gradient's precision, and the clustering
+# block's backward recomputes its similarity maps and gathered centers, plus
+# about 7% slack. Holding the float64 inputs of float32 weights' gradients
+# holds 35.55 MB; also keeping the similarity maps and gathered centers
+# 41.09 MB; also keeping inputs read for their shape, padded conv inputs and
+# GELU's inputs 52.73 MB. All three fail.
+HELD_AFTER_FORWARD = 32_000_000
 
 
 def test_forward_holds_only_what_backward_reads(bench):

@@ -48,6 +48,20 @@ def test_dwconv_holds_its_input_and_nothing_padded(k):
     assert len(held) == 1 and held[0] is x
 
 
+@pytest.mark.parametrize("pdtype", [np.float32, F64])
+@pytest.mark.parametrize("op", ["linear", "dwconv2d"])
+def test_weight_gradient_input_is_held_in_the_parameters_dtype(op, pdtype):
+    """A float64 input meeting a float32 weight or kernel is held as one
+    float32 copy, all its gradient reads; with matching dtypes the input
+    itself is held. Sizes tell the input from the weight a linear holds."""
+    x = np.random.default_rng(11).normal(size=(2, 4, 6, 5))
+    p = T.Parameter("p", np.ones((3, 5) if op == "linear" else (3, 3, 5), pdtype))
+    _, back = getattr(T, op)(x, p)
+    held = [a for a in closure_arrays(back) if a.size == x.size]
+    assert len(held) == 1 and held[0].dtype == pdtype
+    assert (held[0] is x) == (pdtype == F64)
+
+
 def test_pool_means_holds_no_onehot_mask():
     rng = np.random.default_rng(3)
     bsz, n, m, c = 2, 12, 3, 4
@@ -105,6 +119,7 @@ def _gfc_consumer(x):
 RUNS = {
     "layer_norm": (lambda x: T.layer_norm(x, param("g", np.ones(8)), param("b", np.zeros(8)))),
     "gelu": T.gelu,
+    "linear_f32_weight": lambda x: T.linear(x, T.Parameter("w", np.ones((3, 8), np.float32))),
     "gfc_owner": _gfc_owner,
     "gfc_consumer": _gfc_consumer,
     "icp": lambda x: icp.icp_forward(x, icp.make_icp_params(np.random.default_rng(6), 8, 8, F64)),

@@ -90,22 +90,25 @@ def test_linear_is_one_gemm_over_leading_axes(dtype):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
-def test_linear_mixed_dtypes_compute_in_the_wider_one():
-    """A float64 x meeting a float32 w gives bitwise the float64-weight
-    results; a float32 x meeting a float64 w is not downcast. w.grad and
-    b.grad keep their parameter's dtype either way (from a float32 x and dy
-    they are float32 sums, widened)."""
+def test_linear_mixed_dtypes_weight_gradient_in_the_weights_dtype():
+    """A float64 x meeting a float32 w gives bitwise the float64-weight y, dx
+    and b.grad; w.grad is the float32 product of x and dy rounded to float32,
+    so the backward holds x in float32. A float32 x meeting a float64 w is
+    not downcast. w.grad and b.grad keep their parameter's dtype either way
+    (from a float32 x and dy they are float32 sums, widened)."""
     rng = np.random.default_rng(41)
     x, dy = rng.normal(size=(3, 4, 32)), rng.normal(size=(3, 4, 6))
     w, b = rng.normal(size=(6, 32)).astype(np.float32), rng.normal(size=6).astype(np.float32)
 
-    mixed = _linear_run(x, w, b, dy)
+    y, dx, gw, gb = _linear_run(x, w, b, dy)
     wide = _linear_run(x, w.astype(F64), b.astype(F64), dy)
-    assert [a.dtype for a in mixed] == [F64, F64, np.float32, np.float32]
-    for got, want in zip(mixed, wide):
+    assert [a.dtype for a in (y, dx, gw, gb)] == [F64, F64, np.float32, np.float32]
+    for got, want in zip((y, dx, gb), wide[:2] + wide[3:]):
         assert got.tobytes() == want.astype(got.dtype).tobytes()
-
     x32, dy32 = x.astype(np.float32), dy.astype(np.float32)
+    assert gw.tobytes() == (dy32.reshape(12, 6).T @ x32.reshape(12, 32)).tobytes()
+    assert np.linalg.norm(gw - wide[2]) <= 1e-5 * np.linalg.norm(wide[2])
+
     narrow_x = _linear_run(x32, w.astype(F64), b.astype(F64), dy32)
     wide = _linear_run(x32.astype(F64), w.astype(F64), b.astype(F64), dy32.astype(F64))
     assert [a.dtype for a in narrow_x] == [F64] * 4
