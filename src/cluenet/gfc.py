@@ -81,7 +81,7 @@ def init_centers(p_map: np.ndarray, h: int, w: int):
     def backward(d_centers: np.ndarray) -> np.ndarray:
         return back_pool(d_centers.reshape(pooled.shape))
 
-    return centers, backward
+    return centers, T.once(backward)
 
 
 def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
@@ -118,7 +118,7 @@ def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
             tau_raw.add_grad(np.asarray((-s / (tau * tau)) * tau_nat, dtype=tau_raw.value.dtype))
         return (*back_sim(d_logits / tau), d_pv)
 
-    return out, s_c, backward
+    return out, s_c, T.once(backward)
 
 
 def gated_fuse(c_v: np.ndarray, c_agg: np.ndarray, gate: T.Mlp2Params):
@@ -142,7 +142,7 @@ def gated_fuse(c_v: np.ndarray, c_agg: np.ndarray, gate: T.Mlp2Params):
         d_u = back_mlp(back_sig(d_g))
         return d_cv + d_u[..., :dp], d_cagg + d_u[..., dp:]
 
-    return out, backward
+    return out, T.once(backward)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def project_queries(centers: np.ndarray, w_q: T.Parameter, heads: int):
     def backward(d_q_h: np.ndarray) -> np.ndarray:
         return back_lin(merge_heads(d_q_h))
 
-    return q_h, backward
+    return q_h, T.once(backward)
 
 
 def compute_assignment(p_s: np.ndarray, q: np.ndarray, alpha: float, beta: float):
@@ -200,7 +200,7 @@ def compute_assignment(p_s: np.ndarray, q: np.ndarray, alpha: float, beta: float
         d_ps, d_q = back_sim(d_z * alpha)
         return d_ps, d_q, d_alpha, d_beta
 
-    return assign, backward
+    return assign, T.once(backward)
 
 
 def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
@@ -237,7 +237,7 @@ def dispatch(p: np.ndarray, assign: HardAssignment, centers_h: np.ndarray,
         d_centers = np.swapaxes(onehot, -1, -2) @ d_sel
         return d_out, d_weights, d_centers.astype(centers_h.dtype, copy=False)
 
-    return out, backward
+    return out, T.once(backward)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
         dx = d_p.reshape(bsz, hh, ww, d) + back_norm1(d_xn)
         return dx if p.owns_assignment else (dx, d_weights)
 
-    return y, state, backward
+    return y, state, T.once(backward)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
         # _pool_means promotes float32 to float64; keep that out of the stage before
         return back_norm(back_projf(d_s_map)).astype(dtype, copy=False)
 
-    return out, assign, backward
+    return out, assign, T.once(backward)
 
 
 # ---------------------------------------------------------------------------
@@ -169,4 +169,4 @@ def linear_transition_forward(x: np.ndarray, p: LinearTransitionParams):
     def backward(d_out: np.ndarray) -> np.ndarray:
         return back_norm(back_lin(d_out))
 
-    return out, assign, backward
+    return out, assign, T.once(backward)

@@ -77,7 +77,7 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
         dwin = back_lin(dy).reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
         return np.ascontiguousarray(dwin).reshape(b, h, w, 5)[..., :IMG_CHANNELS]
 
-    return y, backward
+    return y, T.once(backward)
 
 
 def pos_residual(x: np.ndarray, dw: T.Parameter):
@@ -88,4 +88,4 @@ def pos_residual(x: np.ndarray, dw: T.Parameter):
     def backward(dy: np.ndarray) -> np.ndarray:
         return dy + back_conv(dy)
 
-    return y, backward
+    return y, T.once(backward)

@@ -10,7 +10,8 @@ A backward closure holds only the arrays its formula reads, each held
 array at the precision of the gradient that reads it, and it reads shapes
 from those arrays: everything it holds stays alive until the backward
 runs, so an input kept for its shape, or kept wider than its gradient
-reads it, adds to peak memory.
+reads it, adds to peak memory. A backward runs once; what it held is
+freed when it returns (``once``).
 """
 
 from __future__ import annotations
@@ -115,6 +116,19 @@ def _narrowed(a: np.ndarray, dtype) -> np.ndarray:
     return a if np.can_cast(a.dtype, dtype) else a.astype(dtype)
 
 
+def once(backward):
+    """``backward`` that drops its reference on the first call, freeing what
+    it held when it returns; a second call raises ConfigError."""
+    box = [backward]
+
+    def run(*args, **kwargs):
+        if not box:
+            raise ConfigError("a backward runs once, and this one has already run")
+        return box.pop()(*args, **kwargs)
+
+    return run
+
+
 def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     """y[..., j] = sum_k x[..., k] * w[j, k] (+ bias[j]).
 
@@ -142,7 +156,7 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
             bias.add_grad(dy2.sum(axis=0))
         return _gemm(dy2, wmat).reshape(*dy.shape[:-1], wmat.shape[1])
 
-    return y.reshape(*x.shape[:-1], y.shape[-1]), backward
+    return y.reshape(*x.shape[:-1], y.shape[-1]), once(backward)
 
 
 def gelu(x: np.ndarray):
@@ -153,7 +167,7 @@ def gelu(x: np.ndarray):
     def backward(dy: np.ndarray) -> np.ndarray:
         return dy * slope
 
-    return x * cdf, backward
+    return x * cdf, once(backward)
 
 
 # Only cluebench/spans.py reads this table; mlp2 calls gelu directly.
@@ -178,7 +192,7 @@ def mlp2(x: np.ndarray, p: Mlp2Params):
     def backward(dy: np.ndarray) -> np.ndarray:
         return back1(back_act(back2(dy)))
 
-    return y, backward
+    return y, once(backward)
 
 
 def sigmoid(x: np.ndarray):
@@ -187,7 +201,7 @@ def sigmoid(x: np.ndarray):
     def backward(dy: np.ndarray) -> np.ndarray:
         return dy * y * (1.0 - y)
 
-    return y, backward
+    return y, once(backward)
 
 
 def softmax(x: np.ndarray):
@@ -198,7 +212,7 @@ def softmax(x: np.ndarray):
         inner = (dy * y).sum(axis=-1, keepdims=True)
         return y * (dy - inner)
 
-    return y, backward
+    return y, once(backward)
 
 
 def dwconv2d(x: np.ndarray, kernel: Parameter):
@@ -231,13 +245,16 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     xk = _narrowed(x, kernel.value.dtype)
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        # x's tap (u, v) meets dy's tap (k-1-u, k-1-v); dy is padded once unless it is wider than the kernel
-        dy_taps, dyk = taps(dy), _narrowed(dy, kernel.value.dtype)
-        dyk_taps = dy_taps if dyk is dy else taps(dyk)
-        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", dyk_taps, xk)[::-1, ::-1])
+        # x's tap (u, v) meets dy's tap (k-1-u, k-1-v). The kernel gradient reads dy
+        # in the kernel's dtype; a wider dy is padded only after those taps are freed.
+        dy_taps = taps(_narrowed(dy, kernel.value.dtype))
+        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", dy_taps, xk)[::-1, ::-1])
+        if dy_taps.dtype != dy.dtype:
+            del dy_taps
+            dy_taps = taps(dy)
         return np.einsum("buvchw,uvc->bhwc", dy_taps, kernel.value[::-1, ::-1])
 
-    return y, backward
+    return y, once(backward)
 
 
 def _pool_matrix(size_in: int, size_out: int, dtype) -> np.ndarray:
@@ -260,7 +277,7 @@ def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
         g = (pw.T @ (dy / area).reshape(b * h, w, c)).reshape(b, h, ww * c)
         return (ph.T @ g).reshape(b, hh, ww, c)
 
-    return y, backward
+    return y, once(backward)
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray):
@@ -290,7 +307,7 @@ def cosine_sim(a: np.ndarray, b: np.ndarray):
         db = (dt @ ah - mask_b * np.sum(dt * np.swapaxes(out, -1, -2), axis=-1, keepdims=True) * bh) / nb
         return da, db
 
-    return out, backward
+    return out, once(backward)
 
 
 def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
@@ -313,5 +330,5 @@ def layer_norm(x: np.ndarray, gamma: Parameter, beta: Parameter):
         m2 = (gdy * xh).mean(axis=-1, keepdims=True)
         return (gdy - m1 - xh * m2) / s
 
-    return y, backward
+    return y, once(backward)
 
