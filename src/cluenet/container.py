@@ -54,8 +54,8 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> dict[str, np.ndarray]:
-    """Read a container; raises FormatError on bad magic, version, or any
-    entry that is truncated or malformed."""
+    """Read a container; raises FormatError on bad magic, version, a
+    repeated entry name, or any entry that is truncated or malformed."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != MAGIC:
@@ -75,7 +75,10 @@ def read_container(path) -> dict[str, np.ndarray]:
             dtype, size = _CODE_TO_DTYPE[code], math.prod(dims)
             if off + size * dtype.itemsize > len(data):   # before any read: dims can be huge
                 raise FormatError(f"{path}: entry {i} is truncated: its {size} items run past the end")
-            entries[name_b.decode("utf-8")] = np.frombuffer(data, dtype, size, off).reshape(dims).copy()
+            name = name_b.decode("utf-8")
+            if name in entries:     # a second entry would silently replace the first
+                raise FormatError(f"{path}: entry {i} repeats the name {name!r:.40}")
+            entries[name] = np.frombuffer(data, dtype, size, off).reshape(dims).copy()
             off += size * dtype.itemsize
     except (struct.error, UnicodeDecodeError, KeyError, ValueError) as exc:
         raise FormatError(f"{path}: entry {i} is truncated or malformed"

@@ -87,7 +87,7 @@ def _pool_means(vectors: np.ndarray, owner: np.ndarray, seeds: np.ndarray):
         # each pixel's row of the one-hot matrix holds one 1, so a gather is its product
         return d_members[np.arange(len(owner))[:, None], owner], d_seeds
 
-    return pooled, backward
+    return pooled, T.once(backward)
 
 
 def icp_forward(x: np.ndarray, p: IcpParams):

@@ -6,12 +6,15 @@ float64 (used by all gradient checks). Every operation here returns
 gradients and accumulates parameter gradients in place. There is no
 autodiff graph; composite modules chain these closures explicitly.
 
-A backward closure holds only the arrays its formula reads, each held
-array at the precision of the gradient that reads it, and it reads shapes
-from those arrays: everything it holds stays alive until the backward
-runs, so an input kept for its shape, or kept wider than its gradient
-reads it, adds to peak memory. A backward runs once; what it held is
-freed when it returns (``once``).
+A parameter's gradient that is a product with a held input (``linear``'s
+weight, ``dwconv2d``'s kernel) is computed in the parameter's dtype: each
+operand is cast with ``astype(p.dtype, copy=False)``. Other parameter
+gradients (biases, ``layer_norm``'s gamma and beta) are reduced in the
+activations' dtype and cast by ``Parameter.add_grad``. A backward closure
+holds only the arrays its formula reads, and it reads shapes from those
+arrays: everything it holds stays alive until the backward runs, so an
+input kept only for its shape adds to peak memory. A backward runs once;
+what it held is freed when it returns (``once``).
 """
 
 from __future__ import annotations
@@ -110,12 +113,6 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(dt, copy=False) @ b.astype(dt, copy=False)
 
 
-def _narrowed(a: np.ndarray, dtype) -> np.ndarray:
-    """``a`` cast to ``dtype`` if that is narrower, else ``a`` itself: what a
-    backward holds for a gradient that is read in ``dtype``."""
-    return a if np.can_cast(a.dtype, dtype) else a.astype(dtype)
-
-
 def once(backward):
     """``backward`` that drops its reference on the first call, freeing what
     it held when it returns; a second call raises ConfigError."""
@@ -136,8 +133,8 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     and is read as (out, prod(in)) in C order, so a patch kernel needs no
     reshape by the caller. The leading dimensions are flattened, so the
     forward and each gradient are one 2-D GEMM over all positions, not one
-    per leading index. The weight gradient is computed in ``w``'s dtype
-    when that is the narrower one, so the backward holds ``x`` in it.
+    per leading index. The weight gradient is computed in ``w``'s dtype,
+    so the backward holds ``x`` in it.
     """
     wmat = w.value.reshape(len(w.value), math.prod(w.value.shape[1:]))
     if x.shape[-1] != wmat.shape[1] or (bias is not None and bias.shape != wmat.shape[:1]):
@@ -147,11 +144,11 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     y = _gemm(x2, wmat.T)
     if bias is not None:
         y = y + bias.value
-    xw = _narrowed(x2, w.value.dtype)
+    xw = x2.astype(w.value.dtype, copy=False)
 
     def backward(dy: np.ndarray) -> np.ndarray:
         dy2 = dy.reshape(-1, dy.shape[-1])
-        w.add_grad(_gemm(_narrowed(dy2, w.value.dtype).T, xw).reshape(w.value.shape))
+        w.add_grad((dy2.astype(w.value.dtype, copy=False).T @ xw).reshape(w.value.shape))
         if bias is not None:
             bias.add_grad(dy2.sum(axis=0))
         return _gemm(dy2, wmat).reshape(*dy.shape[:-1], wmat.shape[1])
@@ -221,8 +218,8 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     ``x`` is (B, H, W, C); ``kernel`` is (k, k, C) with odd k. Channels
     never mix. The input gradient is the same convolution of ``dy`` with
     the kernel flipped in both spatial axes, ``kernel[::-1, ::-1]``. The
-    kernel gradient is computed in the kernel's dtype when that is the
-    narrower one, so the backward holds ``x`` in it.
+    kernel gradient is computed in the kernel's dtype, so the backward
+    holds ``x`` in it.
     """
     _, h, w_, c = map_shape(x, "dwconv2d")
     kshape = kernel.value.shape
@@ -242,17 +239,11 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
         return np.lib.stride_tricks.sliding_window_view(padded, (h, w_), axis=(1, 2))
 
     y = np.einsum("buvchw,uvc->bhwc", taps(x), kernel.value)
-    xk = _narrowed(x, kernel.value.dtype)
+    xk = x.astype(kernel.value.dtype, copy=False)
 
     def backward(dy: np.ndarray) -> np.ndarray:
-        # x's tap (u, v) meets dy's tap (k-1-u, k-1-v). The kernel gradient reads dy
-        # in the kernel's dtype; a wider dy is padded only after those taps are freed.
-        dy_taps = taps(_narrowed(dy, kernel.value.dtype))
-        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", dy_taps, xk)[::-1, ::-1])
-        if dy_taps.dtype != dy.dtype:
-            del dy_taps
-            dy_taps = taps(dy)
-        return np.einsum("buvchw,uvc->bhwc", dy_taps, kernel.value[::-1, ::-1])
+        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", taps(xk), dy.astype(kernel.value.dtype, copy=False)))
+        return np.einsum("buvchw,uvc->bhwc", taps(dy), kernel.value[::-1, ::-1])
 
     return y, once(backward)
 

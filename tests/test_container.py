@@ -71,6 +71,18 @@ def test_trailing_garbage(tmp_path):
         C.read_container(path)
 
 
+def test_repeated_entry_name(tmp_path):
+    """Renaming entry ``b`` to ``a`` must not read back as one ``a`` holding b's payload."""
+    path = tmp_path / "t.clue"
+    C.write_container(path, {"a": np.ones(2, dtype=np.float32), "b": np.zeros(3, dtype=np.float32)})
+    raw = path.read_bytes()
+    name_b = b"\x01\x00b"                  # u16 name length 1, then the name
+    assert raw.count(name_b) == 1
+    path.write_bytes(raw.replace(name_b, b"\x01\x00a"))
+    with pytest.raises(FormatError, match="entry 1 repeats the name 'a'"):
+        C.read_container(path)
+
+
 def test_unknown_dtype_code(tmp_path):
     path = tmp_path / "t.clue"
     C.write_container(path, {"x": np.ones(2, dtype=np.float32)})

@@ -1,11 +1,14 @@
 """The package raises only its own error classes (errors.py), never a
-builtin exception class such as ValueError or FloatingPointError."""
+builtin exception class such as ValueError or FloatingPointError; and
+every top-level name it defines is read somewhere, since code that
+nothing calls is deleted."""
 
 import ast
 import builtins
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cluenet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cluenet"
 
 
 def builtin_raises(source: str) -> list[tuple[int, str]]:
@@ -35,3 +38,53 @@ def test_package_raises_only_typed_errors():
            for path in sources
            for line, name in builtin_raises(path.read_text())]
     assert not bad, "builtin exceptions raised; use a class from errors.py:\n" + "\n".join(bad)
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or assigned
+    constants, dunders excepted."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
+def unread_definitions(package: dict[str, str], others: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(file, line, name) of each name defined at the top level of a
+    ``package`` source that no top-level statement of any source reads,
+    its own definition excepted. A read is a loaded name or an attribute
+    of that name (``T.linear``)."""
+    defined, reads = [], []
+    for path, source in {**package, **others}.items():
+        for stmt in ast.parse(source).body:
+            nodes = list(ast.walk(stmt))
+            reads.append({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                         | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+            if path in package:
+                defined += [(path, stmt.lineno, name, len(reads) - 1) for name in defined_names(stmt)]
+    return [(path, line, name) for path, line, name, own in defined
+            if not any(name in names for i, names in enumerate(reads) if i != own)]
+
+
+def test_lint_flags_unread_definitions():
+    package = {"m.py": "def used():\n    pass\ndef recursive():\n    return recursive()\n"
+                       "K = 1\n_L, __all__ = 2, []\nclass C:\n    pass\n"}
+    others = {"t.py": "import m\nm.used()\nprint(_L)\n"}
+    assert unread_definitions(package, others) == [("m.py", 3, "recursive"), ("m.py", 5, "K"),
+                                                   ("m.py", 7, "C")]
+
+
+def test_package_defines_no_unread_name():
+    """What src/cluenet defines at top level is read in src/, tests/ or cluebench/."""
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = {str(p.relative_to(ROOT)): p.read_text()
+              for d in ("tests", "cluebench") for p in sorted((ROOT / d).glob("*.py"))}
+    assert package and others, f"no sources under {ROOT}"
+    unread = [f"{path}:{line}: {name}" for path, line, name in unread_definitions(package, others)]
+    assert not unread, "defined but read nowhere; delete it:\n" + "\n".join(unread)

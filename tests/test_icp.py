@@ -162,7 +162,8 @@ def test_pool_means_match_scatter_oracle(dtype):
     np.testing.assert_allclose(pooled, want, rtol=0, atol=atol)
     np.testing.assert_array_equal(pooled[:, 3], seeds[:, 3])
     d_pooled = rng.normal(size=(bsz, m, c))
-    for got, exp in zip(back(d_pooled), back_want(d_pooled)):
+    grads = back(d_pooled)
+    for got, exp in zip(grads, back_want(d_pooled)):
         assert got.dtype == exp.dtype
         np.testing.assert_array_equal(got, exp)
     # each pixel's row of the one-hot matrix holds one 1, so the gather in
@@ -170,7 +171,7 @@ def test_pool_means_match_scatter_oracle(dtype):
     onehot = owner[..., None] == np.arange(m)
     denom = np.maximum(onehot.sum(axis=1), 1)[..., None]
     d_members = np.where(onehot.any(axis=1)[..., None], d_pooled / denom, 0.0)
-    got, want = back(d_pooled)[0], onehot @ d_members
+    got, want = grads[0], onehot @ d_members
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 

@@ -94,8 +94,10 @@ def test_linear_mixed_dtypes_weight_gradient_in_the_weights_dtype():
     """A float64 x meeting a float32 w gives bitwise the float64-weight y, dx
     and b.grad; w.grad is the float32 product of x and dy rounded to float32,
     so the backward holds x in float32. A float32 x meeting a float64 w is
-    not downcast. w.grad and b.grad keep their parameter's dtype either way
-    (from a float32 x and dy they are float32 sums, widened)."""
+    not downcast, and w.grad is the float64 product of x and dy widened to
+    float64: a weight gradient is computed in the weight's dtype. w.grad and
+    b.grad keep their parameter's dtype either way (b.grad from a float32 dy
+    is its float32 sum, widened)."""
     rng = np.random.default_rng(41)
     x, dy = rng.normal(size=(3, 4, 32)), rng.normal(size=(3, 4, 6))
     w, b = rng.normal(size=(6, 32)).astype(np.float32), rng.normal(size=6).astype(np.float32)
@@ -114,6 +116,8 @@ def test_linear_mixed_dtypes_weight_gradient_in_the_weights_dtype():
     assert [a.dtype for a in narrow_x] == [F64] * 4
     for got, want in zip(narrow_x[:2], wide):
         assert got.tobytes() == want.tobytes()
+    x64, dy64 = x32.astype(F64), dy32.astype(F64)
+    assert narrow_x[2].tobytes() == (dy64.reshape(12, 6).T @ x64.reshape(12, 32)).tobytes()
 
 
 def _mlp(w1, b1, w2, b2):
