@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -35,8 +36,10 @@ _KIND_TO_CODE = {(dt.kind, dt.itemsize): code for code, dt in _CODE_TO_DTYPE.ite
 def write_container(path, entries: dict[str, np.ndarray]) -> None:
     """Write a name -> array mapping; iteration order is preserved on read.
 
-    Every entry is encoded before ``path`` is opened, so an entry that cannot
-    be written raises FormatError and leaves ``path`` as it was."""
+    Every entry is encoded before a file is opened, so an entry that cannot be
+    written raises FormatError and leaves ``path`` as it was. The parts go to
+    a temporary file beside ``path`` that replaces it only once complete, so
+    an OSError mid-write also leaves ``path`` as it was, and no other file."""
     parts = [MAGIC, struct.pack("<II", VERSION, len(entries))]
     for name, arr in entries.items():
         try:    # the u16 name length and u32 dims bound what struct.pack accepts
@@ -49,8 +52,14 @@ def write_container(path, entries: dict[str, np.ndarray]) -> None:
         except (ValueError, KeyError, AttributeError, UnicodeEncodeError, struct.error) as exc:
             raise FormatError(f"entry {name!r:.40} cannot be written"
                               f" ({type(exc).__name__}: {exc})") from exc
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"     # same directory: os.replace is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # the write or the replace failed
+            os.remove(tmp)
 
 
 def read_container(path) -> dict[str, np.ndarray]:

@@ -49,6 +49,8 @@ class BlockFlags:
 
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., n, d') -> (..., heads, n, d'/heads); contiguous channel slices."""
+    if x.ndim < 2:
+        raise DimensionError(f"split_heads: expected (..., n, d') rows, got shape {x.shape}")
     *lead, n, dp = x.shape
     if heads < 1 or dp % heads:
         raise ConfigError(f"channel width {dp} not divisible by {heads} heads")
@@ -57,6 +59,8 @@ def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
     """Inverse of split_heads."""
+    if x.ndim < 3:
+        raise DimensionError(f"merge_heads: expected (..., heads, n, dh) rows, got shape {x.shape}")
     y = np.moveaxis(x, -3, -2)
     *lead, n, heads, dh = y.shape
     return np.ascontiguousarray(y).reshape(*lead, n, heads * dh)
@@ -72,14 +76,14 @@ def init_centers(p_map: np.ndarray, h: int, w: int):
     Returns ((B, m, c), backward); backward accepts the center gradient
     and maps it back onto the input map.
     """
-    hh, ww = p_map.shape[-3], p_map.shape[-2]
+    bsz, hh, ww, c = T.map_shape(p_map, "init_centers")
     if h > hh or w > ww:
         raise ConfigError(f"center grid ({h},{w}) larger than feature map ({hh},{ww})")
     pooled, back_pool = T.adaptive_avg_pool2d(p_map, h, w)
-    centers = pooled.reshape(pooled.shape[0], h * w, p_map.shape[-1])
+    centers = pooled.reshape(bsz, h * w, c)
 
     def backward(d_centers: np.ndarray) -> np.ndarray:
-        return back_pool(d_centers.reshape(pooled.shape))
+        return back_pool(d_centers.reshape(bsz, h, w, c))
 
     return centers, T.once(backward)
 
@@ -95,6 +99,12 @@ def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
     (S_C @ p_v, S_C, backward); backward(d_out) -> (d_c_s, d_p_s, d_p_v).
     backward keeps the inputs and S_C and recomputes the cosine map, if any.
     """
+    # c_s (..., m, d), p_s (..., n, d), p_v (..., n, dh) and a 0-d tau_raw
+    fits = (c_s.shape[:-2] + c_s.shape[-1:] == p_s.shape[:-2] + p_s.shape[-1:]
+            and p_v.shape[:-1] == p_s.shape[:-1])
+    if min(c_s.ndim, p_s.ndim, p_v.ndim) < 2 or not fits or getattr(tau_raw, "shape", ()) != ():
+        raise DimensionError(f"soft_aggregate: centers {c_s.shape}, pixels {p_s.shape}, values {p_v.shape}"
+                             f" or tau_raw {getattr(tau_raw, 'shape', None)} do not fit")
     if tau_raw is not None:
         tau_nat = float(np.exp(tau_raw.value))
         tau = max(tau_nat, TAU_MIN)
@@ -127,7 +137,7 @@ def gated_fuse(c_v: np.ndarray, c_agg: np.ndarray, gate: T.Mlp2Params):
     out = (1 - g) * c_agg + g * c_v with g = sigmoid(mlp([c_v, c_agg])),
     g broadcast over channels. backward(d_out) -> (d_c_v, d_c_agg).
     """
-    if c_v.shape != c_agg.shape:
+    if c_v.shape != c_agg.shape or c_v.ndim < 1:
         raise DimensionError(f"gated_fuse: operand shapes differ {c_v.shape} vs {c_agg.shape}")
     dp = c_v.shape[-1]
     u = np.concatenate([c_v, c_agg], axis=-1)
@@ -354,9 +364,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     When the block consumed a shared assignment, backward(dy) ->
     (dx, d_weights) and the caller routes d_weights to the owner.
     """
-    bsz, hh, ww, d = T.map_shape(x, "gfc block")
-    if d != p.d:
-        raise DimensionError(f"block expects width {p.d}, got {d}")
+    bsz, hh, ww, d = T.map_shape(x, "gfc block", p.d)
     # {a, b} != {c} catches a pair that disagrees with itself or with the rule
     if {p.w_s is None, p.b_s is None} != {p.agg is None and p.query is None}:
         raise ConfigError("a block has w_s and b_s exactly when it has agg or query")

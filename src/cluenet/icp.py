@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .gfc import init_centers    # bound here: patching gfc.init_centers leaves pools alone
 
 
@@ -82,10 +82,10 @@ def _pool_means(vectors: np.ndarray, owner: np.ndarray, seeds: np.ndarray):
     pooled = np.where(empty[..., None], seeds, np.swapaxes(onehot, 1, 2) @ vectors / denom)
 
     def backward(d_pooled: np.ndarray):
-        d_members = np.where(empty[..., None], 0.0, d_pooled / denom)
         d_seeds = np.where(empty[..., None], d_pooled, 0.0)
-        # each pixel's row of the one-hot matrix holds one 1, so a gather is its product
-        return d_members[np.arange(len(owner))[:, None], owner], d_seeds
+        # one 1 per pixel row of the one-hot matrix makes its product a gather; no pixel
+        # is in an empty cluster, so the gather never reads that row
+        return (d_pooled / denom)[np.arange(len(owner))[:, None], owner], d_seeds
 
     return pooled, T.once(backward)
 
@@ -97,9 +97,7 @@ def icp_forward(x: np.ndarray, p: IcpParams):
     keeps x's dtype. The partition is constant in backward; gradients flow
     through the cluster means and both projections.
     """
-    bsz, hh, ww, d = T.map_shape(x, "pool")
-    if d != p.d_in:
-        raise DimensionError(f"pool expects width {p.d_in}, got {d}")
+    bsz, hh, ww, _ = T.map_shape(x, "pool", p.d_in)
     if hh % 2 or ww % 2:
         raise ConfigError(f"pool requires even extents, got ({hh},{ww})")
     h2, w2 = hh // 2, ww // 2
@@ -157,9 +155,7 @@ def make_linear_transition(rng: np.random.Generator, d_in: int, d_out: int,
 
 
 def linear_transition_forward(x: np.ndarray, p: LinearTransitionParams):
-    bsz, hh, ww, d = T.map_shape(x, "transition")
-    if d != p.d_in:
-        raise DimensionError(f"transition expects width {p.d_in}, got {d}")
+    bsz, hh, ww, _ = T.map_shape(x, "transition", p.d_in)
     xn, back_norm = T.layer_norm(x, p.norm_g, p.norm_b)
     out, back_lin = T.linear(xn, p.w, p.b)
     n = hh * ww

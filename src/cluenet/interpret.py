@@ -298,7 +298,8 @@ def read_trace(path) -> TraceBundle:
     Raises FormatError when an entry is missing or does not fit the maps it
     indexes: a pool sends its stage into the next stage's map, and a block's
     grid holds its m centers, with cols and weights (heads, n), cols in [0, m).
-    The patch, the stage count and every map and grid extent are at least 1."""
+    The patch, the stage count and every map and grid extent are at least 1;
+    centers and weights are floating point."""
     entries = C.read_container(path)
 
     def need(key, shape=None, below=np.inf, least=0):
@@ -309,6 +310,12 @@ def read_trace(path) -> TraceBundle:
         if shape is not None and not (a.shape == shape and a.dtype.kind in "iu"
                                       and np.all((a >= least) & (a < below))):
             raise FormatError(f"trace entry {key!r} is not {shape} integers in [{least}, {below})")
+        return a
+
+    def need_floats(key):
+        a = need(key)
+        if a.dtype.kind != "f":
+            raise FormatError(f"trace entry {key!r} holds {a.dtype}, not floating point")
         return a
 
     def need_hw(key):
@@ -323,9 +330,9 @@ def read_trace(path) -> TraceBundle:
         blocks = []
         for j in range(int(need(f"{tag}/num_blocks", (1,))[0])):
             btag = f"{tag}/block{j + 1}"
-            centers = need(f"{btag}/centers")
+            centers = need_floats(f"{btag}/centers")
             cols = need(f"{btag}/assignment/cols")
-            weights = need(f"{btag}/assignment/weights")
+            weights = need_floats(f"{btag}/assignment/weights")
             if centers.ndim != 2 or cols.ndim != 2 or weights.shape != cols.shape:
                 raise FormatError(f"trace block {btag!r} centers, cols or weights are misshapen")
             need(f"{btag}/assignment/cols", (len(cols), hh * ww), len(centers))

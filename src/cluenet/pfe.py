@@ -55,9 +55,7 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
     which T.linear reads the (d, 4, 4, 5) ``weight``, so the convolution is
     one T.linear over the window rows.
     """
-    b, h, w, c = T.map_shape(img, "patch_embed")
-    if c != IMG_CHANNELS:
-        raise DimensionError(f"patch_embed: expected {IMG_CHANNELS} image channels, got {c}")
+    b, h, w, _ = T.map_shape(img, "patch_embed", IMG_CHANNELS)
     if h % PATCH or w % PATCH:
         raise ConfigError(f"patch_embed: spatial extents ({h},{w}) not divisible by {PATCH}")
     if grid.shape != (h, w, GRID_CHANNELS):

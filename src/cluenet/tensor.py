@@ -34,10 +34,10 @@ COSINE_EPS = 1e-6
 LAYER_NORM_EPS = 1e-5
 
 
-def map_shape(x: np.ndarray, where: str) -> tuple[int, int, int, int]:
-    """(B, H, W, C) of a feature map; every map-taking op requires the batch axis."""
-    if x.ndim != 4:
-        raise DimensionError(f"{where}: expected a (B, H, W, C) map, got shape {x.shape}")
+def map_shape(x: np.ndarray, where: str, width: int | None = None) -> tuple[int, int, int, int]:
+    """(B, H, W, C) of a feature map: the batch axis is required, and C == ``width`` if given."""
+    if x.ndim != 4 or width not in (None, x.shape[-1]):
+        raise DimensionError(f"{where}: expected a (B, H, W, C) map, C = {width or 'any'}, got {x.shape}")
     return x.shape
 
 
@@ -136,9 +136,9 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     per leading index. The weight gradient is computed in ``w``'s dtype,
     so the backward holds ``x`` in it.
     """
-    wmat = w.value.reshape(len(w.value), math.prod(w.value.shape[1:]))
-    if x.shape[-1] != wmat.shape[1] or (bias is not None and bias.shape != wmat.shape[:1]):
-        raise DimensionError(f"linear: input width {x.shape[-1]} or bias {getattr(bias, 'shape', None)}"
+    wmat = w.value.reshape(*w.value.shape[:1], math.prod(w.value.shape[1:]))
+    if x.shape[-1:] != wmat.shape[1:] or (bias is not None and bias.shape != wmat.shape[:1]):
+        raise DimensionError(f"linear: input width {x.shape[-1:]} or bias {getattr(bias, 'shape', None)}"
                              f" does not fit weight {wmat.shape}")
     x2 = x.reshape(-1, x.shape[-1])
     y = _gemm(x2, wmat.T)
@@ -221,15 +221,13 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     kernel gradient is computed in the kernel's dtype, so the backward
     holds ``x`` in it.
     """
-    _, h, w_, c = map_shape(x, "dwconv2d")
     kshape = kernel.value.shape
     if len(kshape) != 3 or kshape[0] != kshape[1]:
         raise ConfigError(f"dwconv2d kernel must be square (k, k, C), got shape {kshape}")
     k = kshape[0]
     if k % 2 == 0:
         raise ConfigError(f"dwconv2d kernel size must be odd, got {k}")
-    if c != kshape[2]:
-        raise DimensionError(f"dwconv2d: channels {c} != kernel channels {kshape[2]}")
+    _, h, w_, c = map_shape(x, "dwconv2d", kshape[2])
     r = k // 2
 
     def taps(a: np.ndarray) -> np.ndarray:
@@ -277,10 +275,10 @@ def cosine_sim(a: np.ndarray, b: np.ndarray):
     ``a`` is (..., m, d) and ``b`` is (..., n, d); the result is (..., m, n).
     Norms are floored at ``COSINE_EPS``; the floor is a stop-gradient region.
     """
+    if min(a.ndim, b.ndim) < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"cosine_sim: leading dimensions differ or rank < 2 ({a.shape} vs {b.shape})")
     if a.shape[-1] != b.shape[-1]:
         raise DimensionError(f"cosine_sim: feature widths differ ({a.shape[-1]} vs {b.shape[-1]})")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"cosine_sim: leading dimensions differ ({a.shape} vs {b.shape})")
     na = np.linalg.norm(a, axis=-1, keepdims=True)
     nb = np.linalg.norm(b, axis=-1, keepdims=True)
     mask_a = na > COSINE_EPS

@@ -1,12 +1,13 @@
 """The names that the benchmark in cluebench/ reads from the package exist.
 
 cluebench/ builds its network from the package's public functions and
-patches some of them to time layers, so renaming or deleting one of them
-breaks the benchmark although every package test still passes. These
-tests read cluebench/ and change nothing in it.
+patches some of them to time layers, so renaming or deleting one of them,
+or one of their parameters, breaks the benchmark although every package
+test still passes. These tests read cluebench/ and change nothing in it.
 """
 
 import ast
+import inspect
 
 import pytest
 
@@ -34,6 +35,37 @@ def test_every_package_name_the_benchmark_reads_exists(bench_root):
     missing = [f"{mod}.{attr}" for mod, attr in sorted(names)
                if not hasattr(MODULES[mod], attr)]
     assert not missing, "cluebench reads names the package no longer has: " + ", ".join(missing)
+
+
+def bench_calls(root) -> list[tuple[str, str, str, int, list[str]]]:
+    """(file:line, module alias, attribute, positional count, keyword names)
+    of every ``gfc.f(...)``-style call in cluebench/*.py. A call that unpacks
+    ``*args`` or ``**kwargs`` has no count to check and is left out."""
+    found = []
+    for path in sorted((root / "cluebench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id in MODULES
+                    and not any(isinstance(a, ast.Starred) for a in node.args)
+                    and all(k.arg is not None for k in node.keywords)):
+                found.append((f"{path.name}:{node.lineno}", node.func.value.id, node.func.attr,
+                              len(node.args), [k.arg for k in node.keywords]))
+    return found
+
+
+def test_every_package_call_the_benchmark_makes_binds(bench_root):
+    """Each call's positional count and keyword names fit the function's
+    current signature, so a renamed keyword fails here, not in a benchmark run."""
+    calls = bench_calls(bench_root)
+    assert len(calls) >= 40 and sum(bool(kw) for *_, kw in calls) >= 11, \
+        f"found only {len(calls)} calls; did the scan break?"
+    unbound = []
+    for where, mod, attr, npos, keywords in calls:
+        try:
+            inspect.signature(getattr(MODULES[mod], attr)).bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{where}: {mod}.{attr}: {exc}")
+    assert not unbound, "cluebench calls the package in ways it no longer accepts:\n" + "\n".join(unbound)
 
 
 @pytest.mark.usefixtures("bench_root")

@@ -1,6 +1,7 @@
 """Round-trip and corruption handling for the binary tensor container."""
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ def test_rejected_write_leaves_no_file_and_keeps_an_existing_one(tmp_path, bad):
     for path in (tmp_path / "new.clue", old):
         with pytest.raises(FormatError, match=message):
             C.write_container(path, entries)
+    assert [p.name for p in tmp_path.iterdir()] == ["old.clue"]
+    assert old.read_bytes() == before
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_other(tmp_path, monkeypatch):
+    """An OSError after some bytes reached the disk leaves the old file whole."""
+    old = tmp_path / "old.clue"
+    C.write_container(old, {"keep": np.arange(1000, dtype=np.float32)})
+    before = old.read_bytes()
+
+    class FailingFile(io.FileIO):
+        def writelines(self, parts):
+            self.write(parts[0])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(C, "open", lambda path, mode: FailingFile(path, mode), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        C.write_container(old, {"new": np.ones(1000, dtype=np.float32)})
     assert [p.name for p in tmp_path.iterdir()] == ["old.clue"]
     assert old.read_bytes() == before
 

@@ -7,6 +7,13 @@ import ast
 import builtins
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from cluenet import gfc
+from cluenet import tensor as T
+from cluenet.errors import CluenetError
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cluenet"
 
@@ -88,3 +95,50 @@ def test_package_defines_no_unread_name():
     assert package and others, f"no sources under {ROOT}"
     unread = [f"{path}:{line}: {name}" for path, line, name in unread_definitions(package, others)]
     assert not unread, "defined but read nowhere; delete it:\n" + "\n".join(unread)
+
+
+def _p(value):
+    return T.Parameter("p", value)
+
+
+def _gate():
+    """Gate perceptron of a 2-wide block: 4 -> 2 -> 1."""
+    return T.Mlp2Params(_p(np.ones((2, 4))), _p(np.zeros(2)), _p(np.ones((1, 2))), _p(np.zeros(1)))
+
+
+_ROWS = np.ones((1, 2, 2))       # (heads, rows, width) operand that fits every call below
+RANK_CALLS = {   # id: call given an array ``a`` of the rank under test; the other operands fit
+    "linear x": lambda a: T.linear(a, _p(np.ones((2, 2)))),
+    "linear w": lambda a: T.linear(np.ones((1, 2)), _p(a)),
+    "mlp2 x": lambda a: T.mlp2(a, T.Mlp2Params(_p(np.ones((2, 2))), _p(np.zeros(2)),
+                                               _p(np.ones((2, 2))), _p(np.zeros(2)))),
+    "cosine_sim a": lambda a: T.cosine_sim(a, _ROWS),
+    "cosine_sim b": lambda a: T.cosine_sim(_ROWS, a),
+    "cosine_sim a and b": lambda a: T.cosine_sim(a, a),
+    "split_heads": lambda a: gfc.split_heads(a, 2),
+    "merge_heads": lambda a: gfc.merge_heads(a),
+    "init_centers": lambda a: gfc.init_centers(a, 1, 1),
+    "soft_aggregate c_s": lambda a: gfc.soft_aggregate(a, _ROWS, _ROWS, _p(np.zeros(()))),
+    "soft_aggregate p_s": lambda a: gfc.soft_aggregate(_ROWS, a, _ROWS, _p(np.zeros(()))),
+    "soft_aggregate p_v": lambda a: gfc.soft_aggregate(_ROWS, _ROWS, a, _p(np.zeros(()))),
+    "soft_aggregate tau_raw": lambda a: gfc.soft_aggregate(_ROWS, _ROWS, _ROWS, _p(a)),
+    "soft_aggregate dot product": lambda a: gfc.soft_aggregate(a, a, a, None),
+    "gated_fuse c_v": lambda a: gfc.gated_fuse(a, _ROWS, _gate()),
+    "gated_fuse c_agg": lambda a: gfc.gated_fuse(_ROWS, a, _gate()),
+    "gated_fuse c_v and c_agg": lambda a: gfc.gated_fuse(a, a, _gate()),
+    "project_queries": lambda a: gfc.project_queries(a, _p(np.ones((2, 2))), 2),
+    "compute_assignment p_s": lambda a: gfc.compute_assignment(a, _ROWS, 1.0, 0.0),
+    "compute_assignment q": lambda a: gfc.compute_assignment(_ROWS, a, 1.0, 0.0),
+    "compute_assignment p_s and q": lambda a: gfc.compute_assignment(a, a, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("rank", range(6))
+@pytest.mark.parametrize("call", sorted(RANK_CALLS))
+def test_an_operand_of_any_rank_raises_only_typed_errors(call, rank):
+    """An operand of the wrong rank is rejected with an errors.py class, not
+    an IndexError, AxisError or TypeError from inside numpy."""
+    try:
+        RANK_CALLS[call](np.ones((2,) * rank))
+    except CluenetError:
+        pass

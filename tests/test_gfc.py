@@ -135,6 +135,20 @@ def test_aggregate_dot_grad_matches_fd():
     grad_check(lambda c, p, v: gfc.soft_aggregate(c, p, v, None), inputs, w, tol=1e-6)
 
 
+@pytest.mark.parametrize("c_shape, p_shape, v_shape, cosine", [
+    ((1, 2, 2), (1, 2, 2), (3, 2, 2), True),
+    ((1, 2, 2), (1, 2, 2), (1, 5, 2), True),
+    ((1, 2, 2), (3, 2, 2), (3, 2, 2), False),
+    ((1, 2, 3), (1, 2, 2), (1, 2, 2), False),
+], ids=["values_of_another_batch", "5_values_for_2_pixels", "dot_centers_of_another_batch",
+        "dot_widths_differ"])
+def test_aggregate_rejects_operands_that_do_not_fit(c_shape, p_shape, v_shape, cosine):
+    """Operands that matmul would broadcast, or reject with a bare ValueError."""
+    with pytest.raises(DimensionError, match="soft_aggregate: centers"):
+        gfc.soft_aggregate(np.ones(c_shape), np.ones(p_shape), np.ones(v_shape),
+                           param("tau_raw", 0.0) if cosine else None)
+
+
 def test_aggregate_unit_rows_match_dot_form():
     # On unit-norm rows, cosine and dot-product attention agree at tau=sqrt(dh).
     rng = np.random.default_rng(6)
@@ -619,7 +633,8 @@ BAD_BLOCKS = {   # id: (call, error class, fixed part of the message)
         lambda: _run_block(norm2_g=param("g", np.ones(5))), DimensionError,
         r"layer_norm: gamma \(5,\), beta \(8,\) != \(8,\)"),
     "5-wide input to an 8-wide block": (
-        lambda: _run_block(x_width=5), DimensionError, "block expects width 8, got 5"),
+        lambda: _run_block(x_width=5), DimensionError,
+        r"gfc block: expected a \(B, H, W, C\) map, C = 8, got \(1, 4, 4, 5\)"),
     # layouts make_gfc_params cannot build
     "gate on a consumer without w_s": (
         lambda: _run_block(flags=gfc.BlockFlags(fa=False), owns=False,

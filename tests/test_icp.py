@@ -186,7 +186,7 @@ def test_odd_extent_rejected():
     (icp.linear_transition_forward, icp.make_linear_transition, "transition")])
 def test_input_width_mismatch_rejected(forward, make, where):
     p = make(np.random.default_rng(18), 4, 6, dtype=F64)
-    with pytest.raises(DimensionError, match=f"{where} expects width 4, got 3"):
+    with pytest.raises(DimensionError, match=rf"{where}: expected a \(B, H, W, C\) map, C = 4, got \(1, 4, 4, 3\)"):
         forward(np.zeros((1, 4, 4, 3)), p)
 
 

@@ -44,7 +44,7 @@ def test_trace_stores_no_derived_size(tmp_path):
 
 
 I32 = np.int32
-BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
+BAD_TRACES = {   # id: (part of the trace or "entry" of the file, attribute or entry name, malformed value)
     "owner value 9 in a 4-cluster pool": ("pool", "owner", np.array([0, 0, 9, 1], I32)),
     "3-entry owner for 4 points": ("pool", "owner", np.array([0, 0, 1], I32)),
     "column -1": ("assignment", "cols", np.array([[0, -1, 0, 0]], I32)),
@@ -55,6 +55,9 @@ BAD_TRACES = {   # id: (part of the trace, attribute, malformed value)
     "map size of 3 values": ("trace", "stage_hw", [(2, 2, 1), (2, 2)]),
     "3x3 center grid for 2 centers": ("state", "grid_hw", (3, 3)),
     "patch 0": ("trace", "patch", 0),
+    # write_trace writes floats, so these two are put into the file after it
+    "uint8 centers": ("entry", "stage2/block1/centers", np.zeros((2, 2), np.uint8)),
+    "int32 weights": ("entry", "stage2/block1/assignment/weights", np.ones((1, 4), I32)),
 }
 
 
@@ -64,10 +67,13 @@ def test_read_trace_rejects_malformed_trace(tmp_path, bad):
     part, name, value = BAD_TRACES[bad]
     state = trace.states[1][0]
     parts = {"trace": trace, "pool": trace.pools[0], "state": state, "assignment": state.assignment}
-    setattr(parts[part], name, value)
+    if part != "entry":
+        setattr(parts[part], name, value)
     path = tmp_path / "t.clue"
     interpret.write_trace(path, trace)
-    with pytest.raises(FormatError):
+    if part == "entry":
+        container.write_container(path, {**container.read_container(path), name: value})
+    with pytest.raises(FormatError, match=name if part == "entry" else None):
         interpret.read_trace(path)
 
 

@@ -129,7 +129,8 @@ def test_embed_indivisible_extent():
 
 
 BAD_EMBEDS = {   # id: (image shape, grid shape, weight shape, fixed part of the message)
-    "4 image channels": ((1, 8, 8, 4), (8, 8, 2), (2, 4, 4, 5), "expected 3 image channels, got 4"),
+    "4 image channels": ((1, 8, 8, 4), (8, 8, 2), (2, 4, 4, 5),
+                         r"patch_embed: expected a \(B, H, W, C\) map, C = 3, got \(1, 8, 8, 4\)"),
     "grid of 3 channels": ((1, 8, 8, 3), (8, 8, 3), (2, 4, 4, 5), r"grid shape \(8, 8, 3\) != \(8,8,2\)"),
     "grid of another extent": ((1, 8, 8, 3), (8, 4, 2), (2, 4, 4, 5), r"grid shape \(8, 4, 2\)"),
     "weight without the grid channels": (

@@ -203,8 +203,8 @@ def test_dwconv_even_kernel_rejected():
 @pytest.mark.parametrize("x_shape, k_shape, error, message", [
     ((1, 4, 4, 1), (3, 1, 1), ConfigError, "dwconv2d kernel must be square"),
     ((1, 4, 4, 1), (3, 5, 1), ConfigError, "dwconv2d kernel must be square"),
-    ((1, 4, 4, 2), (3, 3, 1), DimensionError, "dwconv2d: channels 2 != kernel channels 1"),
-    ((1, 4, 4, 1), (3, 3, 2), DimensionError, "dwconv2d: channels 1 != kernel channels 2"),
+    ((1, 4, 4, 2), (3, 3, 1), DimensionError, r"dwconv2d: expected a \(B, H, W, C\) map, C = 1, got \(1, 4, 4, 2\)"),
+    ((1, 4, 4, 1), (3, 3, 2), DimensionError, r"dwconv2d: expected a \(B, H, W, C\) map, C = 2, got \(1, 4, 4, 1\)"),
     ((1, 4, 4, 1), (3, 3), ConfigError, r"dwconv2d kernel must be square \(k, k, C\), got shape \(3, 3\)"),
 ])
 def test_dwconv_rejects_kernel_that_does_not_fit(x_shape, k_shape, error, message):
