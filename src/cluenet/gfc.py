@@ -80,12 +80,7 @@ def init_centers(p_map: np.ndarray, h: int, w: int):
     if h > hh or w > ww:
         raise ConfigError(f"center grid ({h},{w}) larger than feature map ({hh},{ww})")
     pooled, back_pool = T.adaptive_avg_pool2d(p_map, h, w)
-    centers = pooled.reshape(bsz, h * w, c)
-
-    def backward(d_centers: np.ndarray) -> np.ndarray:
-        return back_pool(d_centers.reshape(bsz, h, w, c))
-
-    return centers, T.once(backward)
+    return pooled.reshape(bsz, h * w, c), T.chain(back_pool, lambda d: d.reshape(bsz, h, w, c))
 
 
 def soft_aggregate(c_s: np.ndarray, p_s: np.ndarray, p_v: np.ndarray,
@@ -175,12 +170,7 @@ class HardAssignment:
 def project_queries(centers: np.ndarray, w_q: T.Parameter, heads: int):
     """Project fused centers to queries and split per head (no bias)."""
     q_full, back_lin = T.linear(centers, w_q)
-    q_h = split_heads(q_full, heads)
-
-    def backward(d_q_h: np.ndarray) -> np.ndarray:
-        return back_lin(merge_heads(d_q_h))
-
-    return q_h, T.once(backward)
+    return split_heads(q_full, heads), T.chain(back_lin, merge_heads)
 
 
 def compute_assignment(p_s: np.ndarray, q: np.ndarray, alpha: float, beta: float):

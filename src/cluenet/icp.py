@@ -160,9 +160,4 @@ def linear_transition_forward(x: np.ndarray, p: LinearTransitionParams):
     out, back_lin = T.linear(xn, p.w, p.b)
     n = hh * ww
     owner = np.tile(np.arange(n, dtype=np.int32), (bsz, 1))
-    assign = PoolAssignment(owner=owner, m=n, grid_hw=(hh, ww))
-
-    def backward(d_out: np.ndarray) -> np.ndarray:
-        return back_norm(back_lin(d_out))
-
-    return out, assign, T.once(backward)
+    return out, PoolAssignment(owner=owner, m=n, grid_hw=(hh, ww)), T.chain(back_norm, back_lin)

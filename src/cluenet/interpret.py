@@ -64,6 +64,28 @@ def _pixel_labels(trace: TraceBundle, stage: int) -> np.ndarray:
     return owner.reshape(h0, w0).repeat(trace.patch, axis=0).repeat(trace.patch, axis=1)
 
 
+def _ints_in(a: np.ndarray, shape: tuple, below=np.inf, least: int = 0) -> bool:
+    """``a`` holds integers of ``shape`` in [least, below)."""
+    return a.shape == shape and a.dtype.kind in "iu" and bool(np.all((a >= least) & (a < below)))
+
+
+def _check_fit(trace: TraceBundle, stage: int, error=DimensionError) -> None:
+    """Raise ``error`` naming ``stage`` unless the pools below it and its blocks
+    fit their maps: pool k sends stage k's H*W points into stage k + 1's map,
+    and a block's cols are (heads, H*W) of its stage, in [0, m)."""
+    if len(trace.pools) < stage or len(trace.stage_hw) <= stage:
+        raise error(f"trace stage {stage}: needs {stage} pools and {stage + 1} maps, got "
+                    f"{len(trace.pools)} and {len(trace.stage_hw)}")
+    n = [math.prod(hw) for hw in trace.stage_hw]
+    parts = [(f"pools[{k}].owner", pool.owner, (n[k],), n[k + 1])
+             for k, pool in enumerate(trace.pools[:stage])]
+    parts += [(f"block {j} cols", st.assignment.cols, (st.heads, n[stage]), st.assignment.m)
+              for j, st in enumerate(trace.states[stage])]
+    for name, a, shape, below in parts:
+        if not _ints_in(a, shape, below):
+            raise error(f"trace stage {stage}: {name} is not {shape} integers in [0, {below})")
+
+
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
@@ -83,7 +105,7 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     every head (one stable sort of the smallest label dtype, which numpy
     radix-sorts); each later query copies one slice.
     """
-    _check_index("stage", stage, len(trace.stage_hw))
+    _check_index("stage", stage, len(trace.states))
     _check_index("block", block, len(trace.states[stage]))
     st = trace.states[stage][block]
     _check_index("head", head, st.heads)
@@ -91,6 +113,7 @@ def cluster_receptive_field(trace: TraceBundle, stage: int, cluster: int,
     _check_index("cluster", cluster, m)
     key = (stage, block)
     if key not in trace._fields:
+        _check_fit(trace, stage)
         labels = st.assignment.cols[:, _pixel_labels(trace, stage).ravel()]
         orders = np.argsort(labels.astype(np.min_scalar_type(m)), axis=-1, kind="stable")
         trace._fields[key] = [(order, np.searchsorted(lab[order], np.arange(m + 1)))
@@ -296,21 +319,19 @@ def read_trace(path) -> TraceBundle:
     """Inverse of write_trace. The image size (stage 1's map times the patch)
     and each pool's grid (the next stage's map) are derived, not stored.
     Raises FormatError when an entry is missing or does not fit the maps it
-    indexes: a pool sends its stage into the next stage's map, and a block's
-    grid holds its m centers, with cols and weights (heads, n), cols in [0, m).
+    indexes (``_check_fit``, as for a trace in memory), when a block's grid
+    does not hold its m centers, or when its weights are not shaped as its cols.
     The patch, the stage count and every map and grid extent are at least 1;
     centers and weights are floating point."""
     entries = C.read_container(path)
 
-    def need(key, shape=None, below=np.inf, least=0):
-        """Entry ``key``; given ``shape``, integers of that shape in [least, below)."""
+    def need(key, shape=None, least=0):
+        """Entry ``key``; given ``shape``, integers of that shape, at least ``least``."""
         if key not in entries:
             raise FormatError(f"trace missing entry {key!r}")
-        a = entries[key]
-        if shape is not None and not (a.shape == shape and a.dtype.kind in "iu"
-                                      and np.all((a >= least) & (a < below))):
-            raise FormatError(f"trace entry {key!r} is not {shape} integers in [{least}, {below})")
-        return a
+        if shape is not None and not _ints_in(entries[key], shape, least=least):
+            raise FormatError(f"trace entry {key!r} is not {shape} integers of at least {least}")
+        return entries[key]
 
     def need_floats(key):
         a = need(key)
@@ -325,7 +346,7 @@ def read_trace(path) -> TraceBundle:
     num_stages = int(need("num_stages", (1,), least=1)[0])
     stage_hw = [need_hw(f"stage{k + 1}/map_hw") for k in range(num_stages)]
     states: list[list[ClusterState]] = []
-    for k, (hh, ww) in enumerate(stage_hw):
+    for k in range(num_stages):
         tag = f"stage{k + 1}"
         blocks = []
         for j in range(int(need(f"{tag}/num_blocks", (1,))[0])):
@@ -335,7 +356,6 @@ def read_trace(path) -> TraceBundle:
             weights = need_floats(f"{btag}/assignment/weights")
             if centers.ndim != 2 or cols.ndim != 2 or weights.shape != cols.shape:
                 raise FormatError(f"trace block {btag!r} centers, cols or weights are misshapen")
-            need(f"{btag}/assignment/cols", (len(cols), hh * ww), len(centers))
             grid = need_hw(f"{btag}/grid_hw")
             if math.prod(grid) != len(centers):
                 raise FormatError(f"trace block {btag!r} grid {grid} does not hold {len(centers)} centers")
@@ -344,10 +364,10 @@ def read_trace(path) -> TraceBundle:
                 assignment=HardAssignment(cols, weights, m=len(centers)),
                 heads=len(cols), grid_hw=grid))
         states.append(blocks)
-    pools = []
-    for k, grid in enumerate(stage_hw[1:]):
-        owner = need(f"stage{k + 1}/pool/owner", (math.prod(stage_hw[k]),), math.prod(grid))
-        pools.append(PoolAssignment(owner=owner, m=math.prod(grid), grid_hw=grid))
-    image_hw = (stage_hw[0][0] * patch, stage_hw[0][1] * patch)
-    return TraceBundle(image_hw=image_hw, patch=patch, stage_hw=stage_hw,
-                       states=states, pools=pools)
+    pools = [PoolAssignment(owner=need(f"stage{k + 1}/pool/owner"), m=math.prod(grid), grid_hw=grid)
+             for k, grid in enumerate(stage_hw[1:])]
+    trace = TraceBundle(image_hw=(stage_hw[0][0] * patch, stage_hw[0][1] * patch), patch=patch,
+                        stage_hw=stage_hw, states=states, pools=pools)
+    for k in range(num_stages):
+        _check_fit(trace, k, FormatError)
+    return trace

@@ -71,11 +71,11 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
     rows = np.ascontiguousarray(windows).reshape(b, hp, wp, -1)  # one row per patch
     y, back_lin = T.linear(rows, weight, bias)
 
-    def backward(dy: np.ndarray) -> np.ndarray:
-        dwin = back_lin(dy).reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
+    def unpatch(d_rows: np.ndarray) -> np.ndarray:
+        dwin = d_rows.reshape(b, hp, wp, PATCH, PATCH, 5).transpose(0, 1, 3, 2, 4, 5)
         return np.ascontiguousarray(dwin).reshape(b, h, w, 5)[..., :IMG_CHANNELS]
 
-    return y, T.once(backward)
+    return y, T.chain(unpatch, back_lin)
 
 
 def pos_residual(x: np.ndarray, dw: T.Parameter):

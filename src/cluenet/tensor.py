@@ -4,7 +4,9 @@ Values are dense row-major numpy arrays in float32 (reference width) or
 float64 (used by all gradient checks). Every operation here returns
 ``(out, backward)`` where ``backward`` maps the upstream gradient to input
 gradients and accumulates parameter gradients in place. There is no
-autodiff graph; composite modules chain these closures explicitly.
+autodiff graph; composite modules chain these closures explicitly, and a
+composite whose backward only runs its parts' backwards in reverse order
+returns ``chain`` of them.
 
 A parameter's gradient that is a product with a held input (``linear``'s
 weight, ``dwconv2d``'s kernel) is computed in the parameter's dtype: each
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 from scipy import special
@@ -126,6 +129,11 @@ def once(backward):
     return run
 
 
+def chain(*backs):
+    """One backward that feeds the upstream gradient through ``backs`` from last to first."""
+    return once(lambda dy: reduce(lambda d, back: back(d), reversed(backs), dy))
+
+
 def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     """y[..., j] = sum_k x[..., k] * w[j, k] (+ bias[j]).
 
@@ -185,11 +193,7 @@ def mlp2(x: np.ndarray, p: Mlp2Params):
     h, back1 = linear(x, p.w1, p.b1)
     a, back_act = gelu(h)
     y, back2 = linear(a, p.w2, p.b2)
-
-    def backward(dy: np.ndarray) -> np.ndarray:
-        return back1(back_act(back2(dy)))
-
-    return y, once(backward)
+    return y, chain(back1, back_act, back2)
 
 
 def sigmoid(x: np.ndarray):

@@ -47,6 +47,48 @@ def test_package_raises_only_typed_errors():
     assert not bad, "builtin exceptions raised; use a class from errors.py:\n" + "\n".join(bad)
 
 
+def bare_backwards(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each nested function that a function in ``source``
+    returns as it is, alone or in a tuple, not through ``once``. A returned
+    call (``once(backward)``, ``chain(...)``) passes; ``once`` itself, which
+    returns the wrapper, is exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "once":
+            continue
+        own, todo = [], list(fn.body)       # fn's nodes, not those of the functions it defines
+        while todo:
+            own.append(node := todo.pop())
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        nested = {n.name for n in own if isinstance(n, ast.FunctionDef)}
+        for ret in own:
+            if isinstance(ret, ast.Return) and ret.value is not None:
+                items = ret.value.elts if isinstance(ret.value, ast.Tuple) else [ret.value]
+                found += [(ret.lineno, v.id) for v in items if isinstance(v, ast.Name) and v.id in nested]
+    return sorted(found)
+
+
+def test_lint_flags_a_backward_returned_without_once():
+    src = ("def bare(x):\n    def backward(dy):\n        return dy\n    return x, backward\n"
+           "def wrapped(x):\n    def backward(dy):\n        return dy\n    return x, T.once(backward)\n"
+           "def chained(x):\n    def unpatch(d):\n        return d\n    return x, T.chain(unpatch, back)\n"
+           "def once(backward):\n    def run(dy):\n        return backward(dy)\n    return run\n"
+           "def alone(x):\n    def backward(dy):\n        return dy\n    return backward\n")
+    assert bare_backwards(src) == [(4, "backward"), (20, "backward")]
+
+
+def test_package_returns_every_backward_through_once():
+    """A backward runs once and frees what it held (tensor.once), so no
+    function in src/cluenet returns a nested function bare."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources, f"no package sources under {PACKAGE}"
+    bad = [f"{path.name}:{line}: returns {name}"
+           for path in sources
+           for line, name in bare_backwards(path.read_text())]
+    assert not bad, "nested functions returned without once:\n" + "\n".join(bad)
+
+
 def defined_names(stmt: ast.stmt) -> list[str]:
     """Names a top-level statement defines: a function, a class or assigned
     constants, dunders excepted."""

@@ -342,6 +342,33 @@ def test_cluster_receptive_field_rejects_bad_index(cluster, head, block, message
         interpret.cluster_receptive_field(_random_trace(0), 1, cluster, head, block)
 
 
+MISFITS = sorted(bad for bad, (part, name, _) in BAD_TRACES.items() if part == "pool" or name == "cols")
+
+
+@pytest.mark.parametrize("bad", MISFITS + ["fewer pools than stages", "fewer maps than stages"])
+def test_cluster_receptive_field_rejects_a_trace_that_does_not_fit_its_maps(bad):
+    """The pool and cols rows that read_trace rejects in a file, applied in
+    memory, and a trace that lost its pool or a map: each is a typed error
+    naming the stage, not an IndexError from inside numpy or a silently
+    empty field."""
+    trace = _two_stage_trace()
+    if bad in BAD_TRACES:
+        part, name, value = BAD_TRACES[bad]
+        setattr(trace.pools[0] if part == "pool" else trace.states[1][0].assignment, name, value)
+    elif bad == "fewer pools than stages":
+        trace.pools = []
+    else:
+        trace.stage_hw = trace.stage_hw[:1]
+    with pytest.raises(DimensionError, match="trace stage 1: "):
+        interpret.cluster_receptive_field(trace, 1, 0, 0)
+
+
+def test_cluster_receptive_field_rejects_a_stage_without_blocks():
+    trace = _random_trace(0)
+    with pytest.raises(ConfigError, match=r"stage 2 out of range \[0,2\)"):
+        interpret.cluster_receptive_field(dataclasses.replace(trace, states=trace.states[:2]), 2, 0, 0)
+
+
 def test_cluster_receptive_field_rejects_bad_stage_on_two_stage_trace():
     with pytest.raises(ConfigError, match="stage 5"):
         interpret.cluster_receptive_field(_two_stage_trace(), 5, 0, 0)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from closures import closure_arrays
-from cluenet import gfc, icp
+from cluenet import gfc, icp, pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError
 
@@ -165,13 +165,35 @@ def test_backward_does_not_keep_the_input_alive(op):
     assert ref() is None and callable(back)
 
 
-@pytest.mark.parametrize("run", [lambda x: T.linear(x, param("w", np.ones((3, 8)))), _gfc_owner],
-                         ids=["linear", "gfc_owner"])
-def test_a_spent_backward_holds_nothing_and_refuses_a_second_call(run):
+SPENT_RUNS = {   # id: call on a (2, 4, 4, 8) x; the last five return T.chain of their parts' backwards
+    "linear": lambda x: T.linear(x, param("w", np.ones((3, 8)))),
+    "gfc_owner": _gfc_owner,
+    "mlp2": lambda x: T.mlp2(x, T.Mlp2Params(param("w1", np.ones((3, 8))), param("b1", np.zeros(3)),
+                                             param("w2", np.ones((2, 3))), param("b2", np.zeros(2)))),
+    "init_centers": lambda x: gfc.init_centers(x, 2, 2),
+    "project_queries": lambda x: gfc.project_queries(x.reshape(2, 16, 8), param("w_q", np.ones((4, 8))), 2),
+    "linear_transition": lambda x: icp.linear_transition_forward(
+        x, icp.make_linear_transition(np.random.default_rng(15), 8, 6, F64)),
+    "patch_embed": lambda x: pfe.patch_embed(x[..., :3], pfe.make_grid(4, 4, F64),
+                                             param("w", np.ones((6, 4, 4, 5))), param("b", np.zeros(6))),
+}
+
+
+@pytest.mark.parametrize("op", SPENT_RUNS)
+def test_a_spent_backward_holds_nothing_and_refuses_a_second_call(op):
     x = np.random.default_rng(14).normal(size=(2, 4, 4, 8))
-    y, *_, back = run(x)
+    y, *_, back = SPENT_RUNS[op](x)
     assert closure_arrays(back)
     back(np.ones_like(y))
     assert closure_arrays(back) == []
     with pytest.raises(ConfigError, match="runs once"):
         back(np.ones_like(y))
+
+
+def test_chain_runs_its_backwards_from_last_to_first_and_once():
+    """As in y = f(g(x)), chain(back_g, back_f) runs back_f first. The chain
+    is itself a spent backward after one call, also over parts that are not."""
+    back = T.chain(lambda d: d + 1, lambda d: 2 * d)
+    assert back(3) == 7
+    with pytest.raises(ConfigError, match="runs once"):
+        back(3)
