@@ -6,7 +6,8 @@ softmax over the pixel axis), a sigmoid gate blends the pooled and the
 aggregated centers, each pixel is hard-assigned to its single most similar
 center per head, and the selected center content is dispatched back through
 an output projection. Second, a standard 4x expansion FFN with a depth-wise
-positional residual refines the result.
+positional residual refines the result; its backward holds only the hidden
+map h1 and re-runs the depth-wise conv and the GELU from it.
 
 Within a stage, later blocks may reuse the first block's hard assignment;
 the backward contract below threads their weight gradients back to the
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .pfe import pos_residual
 from .errors import ConfigError, DimensionError
 
 #: temperature floor; inside the clamp the temperature gradient is zero.
@@ -345,6 +345,25 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     )
 
 
+def ffn(x: np.ndarray, p: GfcParams):
+    """linear -> x + dwconv2d(x) -> GELU -> linear, 4x wide in the middle.
+
+    The backward holds only the hidden map ``h1``, in its own dtype, and
+    re-runs the depth-wise conv and the GELU from it: one conv einsum and
+    one erf, no GEMM. So the forward computes no GELU slope and makes no
+    copy of a hidden map in the parameters' dtype.
+    """
+    h1, back_f1 = T.linear(x, p.ffn_w1, p.ffn_b1)
+    hidden = lambda: h1 + T.dwconv2d_fwd(h1, p.ffn_dw.value)
+
+    def backward(dy: np.ndarray) -> np.ndarray:
+        a1, back_act = T.gelu(hidden())
+        d_h1p = back_act(T.linear_bwd(dy, a1, p.ffn_w2, p.ffn_b2))
+        return d_h1p + T.dwconv2d_bwd(d_h1p, h1, p.ffn_dw)
+
+    return T.linear_fwd(T.gelu_fwd(hidden()), p.ffn_w2, p.ffn_b2), T.chain(back_f1, backward)
+
+
 def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None = None):
     """Run one block on a (B, H, W, d) map.
 
@@ -352,7 +371,9 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     backward(dy, d_shared=None) -> dx, where d_shared is the accumulated
     weight gradient contributed by later blocks that reused the assignment.
     When the block consumed a shared assignment, backward(dy) ->
-    (dx, d_weights) and the caller routes d_weights to the owner.
+    (dx, d_weights) and the caller routes d_weights to the owner. Of the
+    FFN's 4x-wide maps, backward holds only h1, in the activations' dtype,
+    and re-runs the depth-wise conv and the GELU from it (see ``ffn``).
     """
     bsz, hh, ww, d = T.map_shape(x, "gfc block", p.d)
     # {a, b} != {c} catches a pair that disagrees with itself or with the rule
@@ -393,17 +414,14 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     y1 = y1_flat.reshape(bsz, hh, ww, d)
 
     y1n, back_norm2 = T.layer_norm(y1, p.norm2_g, p.norm2_b)
-    h1, back_f1 = T.linear(y1n, p.ffn_w1, p.ffn_b1)
-    h1p, back_posr = pos_residual(h1, p.ffn_dw)
-    a1, back_act = T.gelu(h1p)
-    f2, back_f2 = T.linear(a1, p.ffn_w2, p.ffn_b2)
+    f2, back_ffn = ffn(y1n, p)
     y = y1 + f2
 
     state = ClusterState(centers_v=cvt, soft_sim=s_c, assignment=assign,
                          heads=heads, grid_hw=p.grid_hw)
 
     def backward(dy: np.ndarray, d_shared: np.ndarray | None = None):
-        d_y1 = dy + back_norm2(back_f1(back_posr(back_act(back_f2(dy)))))
+        d_y1 = dy + back_norm2(back_ffn(dy))
         d_p, d_weights, d_cvt_h = back_disp(d_y1.reshape(bsz, n, d))
         d_cvt = merge_heads(d_cvt_h)
 
@@ -441,6 +459,10 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
 def block_macs(n: int, m: int, d: int, dp: int, heads: int,
                flags: BlockFlags = BlockFlags(), owns_assignment: bool = True) -> int:
     """Multiply-add count of one block forward.
+
+    It counts the forward only. The backward's FFN recompute adds
+    ``9 * hidden * n + hidden * n`` per block: the depth-wise conv and the
+    activation once more.
 
     Inventory covers the projections, the attention/assignment similarity
     matrices, gating, dispatch, norms, and the FFN. Every term is linear in

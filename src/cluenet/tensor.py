@@ -15,8 +15,12 @@ gradients (biases, ``layer_norm``'s gamma and beta) are reduced in the
 activations' dtype and cast by ``Parameter.add_grad``. A backward closure
 holds only the arrays its formula reads, and it reads shapes from those
 arrays: everything it holds stays alive until the backward runs, so an
-input kept only for its shape adds to peak memory. A backward runs once;
-what it held is freed when it returns (``once``).
+input kept only for its shape adds to peak memory. The other way to hold
+less is to recompute: a composite keeps an earlier input and re-runs the
+ops after it in its backward. ``linear``, ``gelu`` and ``dwconv2d`` offer
+their forward alone (``*_fwd``) for that, and ``linear`` and ``dwconv2d``
+their backward from a given input (``*_bwd``). A backward runs once; what
+it held is freed when it returns (``once``).
 """
 
 from __future__ import annotations
@@ -144,35 +148,49 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     per leading index. The weight gradient is computed in ``w``'s dtype,
     so the backward holds ``x`` in it.
     """
+    y = linear_fwd(x, w, bias)
+    xw = x.reshape(-1, x.shape[-1]).astype(w.value.dtype, copy=False)
+    return y, once(lambda dy: linear_bwd(dy, xw, w, bias))
+
+
+def linear_fwd(x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np.ndarray:
+    """``linear``'s output alone."""
     wmat = w.value.reshape(*w.value.shape[:1], math.prod(w.value.shape[1:]))
     if x.shape[-1:] != wmat.shape[1:] or (bias is not None and bias.shape != wmat.shape[:1]):
         raise DimensionError(f"linear: input width {x.shape[-1:]} or bias {getattr(bias, 'shape', None)}"
                              f" does not fit weight {wmat.shape}")
-    x2 = x.reshape(-1, x.shape[-1])
-    y = _gemm(x2, wmat.T)
+    y = _gemm(x.reshape(-1, x.shape[-1]), wmat.T)
     if bias is not None:
         y = y + bias.value
-    xw = x2.astype(w.value.dtype, copy=False)
+    return y.reshape(*x.shape[:-1], y.shape[-1])
 
-    def backward(dy: np.ndarray) -> np.ndarray:
-        dy2 = dy.reshape(-1, dy.shape[-1])
-        w.add_grad((dy2.astype(w.value.dtype, copy=False).T @ xw).reshape(w.value.shape))
-        if bias is not None:
-            bias.add_grad(dy2.sum(axis=0))
-        return _gemm(dy2, wmat).reshape(*dy.shape[:-1], wmat.shape[1])
 
-    return y.reshape(*x.shape[:-1], y.shape[-1]), once(backward)
+def linear_bwd(dy: np.ndarray, x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np.ndarray:
+    """``linear(x, w, bias)``'s backward at ``dy``: accumulates the weight and
+    bias gradients and returns ``x``'s. ``x`` may come in any dtype."""
+    wmat = w.value.reshape(*w.value.shape[:1], math.prod(w.value.shape[1:]))
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    w.add_grad((dy2.astype(w.value.dtype, copy=False).T
+                @ x.reshape(-1, wmat.shape[1]).astype(w.value.dtype, copy=False)).reshape(w.value.shape))
+    if bias is not None:
+        bias.add_grad(dy2.sum(axis=0))
+    return _gemm(dy2, wmat).reshape(*dy.shape[:-1], wmat.shape[1])
 
 
 def gelu(x: np.ndarray):
     """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+    cdf = _normal_cdf(x)
     slope = cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+    return x * cdf, once(lambda dy: dy * slope)
 
-    def backward(dy: np.ndarray) -> np.ndarray:
-        return dy * slope
 
-    return x * cdf, once(backward)
+def gelu_fwd(x: np.ndarray) -> np.ndarray:
+    """``gelu``'s output alone: it computes no slope."""
+    return x * _normal_cdf(x)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
 
 
 # Only cluebench/spans.py reads this table; mlp2 calls gelu directly.
@@ -225,29 +243,38 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     kernel gradient is computed in the kernel's dtype, so the backward
     holds ``x`` in it.
     """
-    kshape = kernel.value.shape
-    if len(kshape) != 3 or kshape[0] != kshape[1]:
-        raise ConfigError(f"dwconv2d kernel must be square (k, k, C), got shape {kshape}")
-    k = kshape[0]
-    if k % 2 == 0:
-        raise ConfigError(f"dwconv2d kernel size must be odd, got {k}")
-    _, h, w_, c = map_shape(x, "dwconv2d", kshape[2])
-    r = k // 2
-
-    def taps(a: np.ndarray) -> np.ndarray:
-        """(B, k, k, C, H, W) view: taps(a)[:, u, v] is ``a`` shifted by tap (u, v)."""
-        padded = np.zeros((len(a), h + 2 * r, w_ + 2 * r, c), a.dtype)
-        padded[:, r:r + h, r:r + w_] = a
-        return np.lib.stride_tricks.sliding_window_view(padded, (h, w_), axis=(1, 2))
-
-    y = np.einsum("buvchw,uvc->bhwc", taps(x), kernel.value)
+    y = dwconv2d_fwd(x, kernel.value)
     xk = x.astype(kernel.value.dtype, copy=False)
+    return y, once(lambda dy: dwconv2d_bwd(dy, xk, kernel))
 
-    def backward(dy: np.ndarray) -> np.ndarray:
-        kernel.add_grad(np.einsum("buvchw,bhwc->uvc", taps(xk), dy.astype(kernel.value.dtype, copy=False)))
-        return np.einsum("buvchw,uvc->bhwc", taps(dy), kernel.value[::-1, ::-1])
 
-    return y, once(backward)
+def dwconv2d_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``dwconv2d``'s output alone, for a kernel array ``k``."""
+    if k.ndim != 3 or k.shape[0] != k.shape[1]:
+        raise ConfigError(f"dwconv2d kernel must be square (k, k, C), got shape {k.shape}")
+    if k.shape[0] % 2 == 0:
+        raise ConfigError(f"dwconv2d kernel size must be odd, got {k.shape[0]}")
+    map_shape(x, "dwconv2d", k.shape[2])
+    return np.einsum("buvchw,uvc->bhwc", _taps(x, len(k)), k)
+
+
+def dwconv2d_bwd(dy: np.ndarray, x: np.ndarray, kernel: Parameter) -> np.ndarray:
+    """``dwconv2d(x, kernel)``'s backward at ``dy``: accumulates the kernel
+    gradient and returns ``x``'s. ``x`` may come in any dtype; its taps in
+    the kernel's dtype are freed before ``dy`` is padded."""
+    kd = kernel.value.dtype
+    kernel.add_grad(np.einsum("buvchw,bhwc->uvc", _taps(x.astype(kd, copy=False), len(kernel.value)),
+                              dy.astype(kd, copy=False)))
+    return dwconv2d_fwd(dy, kernel.value[::-1, ::-1])
+
+
+def _taps(a: np.ndarray, k: int) -> np.ndarray:
+    """(B, k, k, C, H, W) view: _taps(a, k)[:, u, v] is ``a`` zero-padded and shifted by tap (u, v)."""
+    b, h, w, c = a.shape
+    r = k // 2
+    padded = np.zeros((b, h + 2 * r, w + 2 * r, c), a.dtype)
+    padded[:, r:r + h, r:r + w] = a
+    return np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
 
 
 def _pool_matrix(size_in: int, size_out: int, dtype) -> np.ndarray:

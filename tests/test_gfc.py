@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cluenet import gfc
+from cluenet import gfc, pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check
@@ -726,6 +726,49 @@ def test_two_block_sharing_grad_matches_fd_fa_off():
     w = rng.normal(size=(1, 3, 3, 4))
     x0 = rng.normal(size=w.shape)
     _block_fd(lambda x: two_block_stage(x, p1, p2), x0, w, p1.params() + p2.params())
+
+
+# ---------------------------------------------------------------------------
+# FFN
+# ---------------------------------------------------------------------------
+
+def ffn_op_by_op(x, p):
+    """The block FFN as four ops, each backward holding what it reads: the
+    conv input and ffn_w2's input in the parameters' dtype, GELU's slope."""
+    h1, back_f1 = T.linear(x, p.ffn_w1, p.ffn_b1)
+    h1p, back_posr = pfe.pos_residual(h1, p.ffn_dw)
+    a1, back_act = T.gelu(h1p)
+    f2, back_f2 = T.linear(a1, p.ffn_w2, p.ffn_b2)
+    return f2, T.chain(back_f1, back_posr, back_act, back_f2)
+
+
+@pytest.mark.parametrize(("xdtype", "pdtype"), [(F64, F64), (np.float32, np.float32), (F64, np.float32)],
+                         ids=["float64", "float32", "float64_map-float32_params"])
+@pytest.mark.parametrize("owns", [True, False], ids=["owner", "consumer"])
+def test_ffn_recompute_keeps_the_bytes(monkeypatch, xdtype, pdtype, owns):
+    """Re-running the depth-wise conv and the GELU from h1 in the backward
+    changes no bit of the block's output, input gradient or any parameter
+    gradient, also when float32 parameters meet a float64 map."""
+    runs = []
+    for ffn in (gfc.ffn, ffn_op_by_op):
+        monkeypatch.setattr(gfc, "ffn", ffn)
+        rng = np.random.default_rng(42)
+        p = live(toy_block(rng, d=8, dp=8, heads=2, scale=3.0), rng)
+        for q in p.params():
+            q.value = q.value.astype(pdtype)
+        x = rng.normal(size=(2, 4, 4, 8)).astype(xdtype)
+        shared = None
+        if not owns:
+            shared = gfc.gfc_block_forward(x, p)[1].assignment
+            p = dataclasses.replace(p, query=None)
+        y, _, back = gfc.gfc_block_forward(x, p, shared)
+        grads = back(rng.normal(size=y.shape).astype(y.dtype))
+        runs.append([y, *(grads if isinstance(grads, tuple) else [grads])]
+                    + [q.grad for q in p.params()])
+    got, want = runs
+    assert len(got) == len(want) and got[0].dtype == xdtype
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------

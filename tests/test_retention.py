@@ -143,6 +143,30 @@ def _gfc_consumer(x):
     return gfc.gfc_block_forward(x, _block(rng, False), shared=st.assignment)
 
 
+def _cast(p, dtype):
+    for q in p.params():
+        q.value = q.value.astype(dtype)
+    return p
+
+
+@pytest.mark.parametrize(("xdtype", "pdtype"), [(F64, F64), (F64, np.float32), (np.float32, np.float32)],
+                         ids=["float64", "float64_map-float32_params", "float32"])
+@pytest.mark.parametrize("owns", [True, False], ids=["owner", "consumer"])
+def test_block_holds_one_map_of_the_ffn_hidden_width(xdtype, pdtype, owns):
+    """The FFN's backward holds h1 alone, in the activations' dtype: the
+    conv input, GELU's slope and ffn_w2's input are rebuilt from it."""
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2, 3, 3, 8)).astype(xdtype)       # 18 rows, none 32 wide
+    p, shared = _cast(_block(rng, True), pdtype), None
+    if not owns:
+        shared = gfc.gfc_block_forward(x, p)[1].assignment
+        p = _cast(_block(rng, False), pdtype)
+    _, _, back = gfc.gfc_block_forward(x, p, shared)
+    hidden = [a for a in closure_arrays(back) if a.shape[-1] == gfc.FFN_EXPANSION * 8]
+    # h1 is held by its buffer, linear's (18, 32) GEMM output
+    assert [(a.size, a.dtype) for a in hidden] == [(2 * 3 * 3 * 32, np.dtype(xdtype))]
+
+
 RUNS = {
     "layer_norm": (lambda x: T.layer_norm(x, param("g", np.ones(8)), param("b", np.zeros(8)))),
     "gelu": T.gelu,
