@@ -10,7 +10,8 @@ that runs first alternates from pair to pair. The summary goes to
 ``BENCH_<workload>.json`` at the repository root: the two commits, the
 pair count, and per metric both sides' median and quartiles, the
 change/parent ratio of every pair and a two-sided sign-test verdict
-(better, worse or unresolved at ``ALPHA``).
+(better, worse or unresolved at ``ALPHA``). A ``--trace 1`` run adds the
+per-layer metrics under ``layers`` to the file of the same two commits.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def metric_directions(bench: dict) -> dict[str, str]:
 
 
 def run_side(tree: pathlib.Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run in ``tree``: its metric values, or {} if it printed none."""
+    """One benchmark run in ``tree``: its metric values, or {} if it failed a
+    check or printed none."""
     cmd = [sys.executable, "cluebench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -80,7 +82,7 @@ def run_side(tree: pathlib.Path, workload: str, seed: int, seconds: float, trace
         res = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
         return {}
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    return {k: v["value"] for k, v in res["metrics"].items()} if res["correct"] else {}
 
 
 def extract(rev: str, into: pathlib.Path) -> str:
@@ -113,17 +115,23 @@ def main(argv=None) -> int:
                 seed, sides = args.seed0 + i, ["parent", "change"][::1 if i % 2 == 0 else -1]
                 pair = {"seed": seed, **{s: run_side(trees[s], wl, seed, args.seconds, args.trace)
                                           for s in sides}}
-                if pair["parent"] and pair["change"]:
+                ok = bool(pair["parent"] and pair["change"])
+                if ok:
                     pairs.append(pair)
                 else:
                     failed += 1
                 print(f"{wl} pair {i + 1}/{args.pairs} seed {seed}: "
-                      + ("ok" if pair["parent"] and pair["change"] else "a run printed no metrics"),
+                      + ("ok" if ok else "a run failed its checks or printed no metrics"),
                       file=sys.stderr, flush=True)
             doc = {"workload": wl, **commits, "pairs": len(pairs), "failed_pairs": failed,
                    "seconds": args.seconds, "trace": args.trace, "seeds": [p["seed"] for p in pairs],
                    "alpha": ALPHA, "metrics": summarise(pairs, better)}
-            (ROOT / f"BENCH_{wl}.json").write_text(json.dumps(doc, indent=1) + "\n")
+            path = ROOT / f"BENCH_{wl}.json"
+            if args.trace:
+                old = json.loads(path.read_text()) if path.exists() else {}
+                same = all(old.get(k) == v for k, v in commits.items())
+                doc = {**(old if same else {k: doc[k] for k in ("workload", *commits)}), "layers": doc}
+            path.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
