@@ -6,8 +6,8 @@ softmax over the pixel axis), a sigmoid gate blends the pooled and the
 aggregated centers, each pixel is hard-assigned to its single most similar
 center per head, and the selected center content is dispatched back through
 an output projection. Second, a standard 4x expansion FFN with a depth-wise
-positional residual refines the result; its backward holds only the hidden
-map h1 and re-runs the depth-wise conv and the GELU from it.
+positional residual refines the result: ``T.ffn``, whose backward holds only
+the hidden map and re-runs the depth-wise conv and the GELU from it.
 
 Within a stage, later blocks may reuse the first block's hard assignment;
 the backward contract below threads their weight gradients back to the
@@ -345,25 +345,6 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     )
 
 
-def ffn(x: np.ndarray, p: GfcParams):
-    """linear -> x + dwconv2d(x) -> GELU -> linear, 4x wide in the middle.
-
-    The backward holds only the hidden map ``h1``, in its own dtype, and
-    re-runs the depth-wise conv and the GELU from it: one conv einsum and
-    one erf, no GEMM. So the forward computes no GELU slope and makes no
-    copy of a hidden map in the parameters' dtype.
-    """
-    h1, back_f1 = T.linear(x, p.ffn_w1, p.ffn_b1)
-    hidden = lambda: h1 + T.dwconv2d_fwd(h1, p.ffn_dw.value)
-
-    def backward(dy: np.ndarray) -> np.ndarray:
-        a1, back_act = T.gelu(hidden())
-        d_h1p = back_act(T.linear_bwd(dy, a1, p.ffn_w2, p.ffn_b2))
-        return d_h1p + T.dwconv2d_bwd(d_h1p, h1, p.ffn_dw)
-
-    return T.linear_fwd(T.gelu_fwd(hidden()), p.ffn_w2, p.ffn_b2), T.chain(back_f1, backward)
-
-
 def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None = None):
     """Run one block on a (B, H, W, d) map.
 
@@ -372,8 +353,9 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     weight gradient contributed by later blocks that reused the assignment.
     When the block consumed a shared assignment, backward(dy) ->
     (dx, d_weights) and the caller routes d_weights to the owner. Of the
-    FFN's 4x-wide maps, backward holds only h1, in the activations' dtype,
-    and re-runs the depth-wise conv and the GELU from it (see ``ffn``).
+    FFN's 4x-wide maps, backward holds only the hidden map, in the
+    activations' dtype, and re-runs the depth-wise conv and the GELU from
+    it (see ``T.ffn``).
     """
     bsz, hh, ww, d = T.map_shape(x, "gfc block", p.d)
     # {a, b} != {c} catches a pair that disagrees with itself or with the rule
@@ -414,7 +396,7 @@ def gfc_block_forward(x: np.ndarray, p: GfcParams, shared: HardAssignment | None
     y1 = y1_flat.reshape(bsz, hh, ww, d)
 
     y1n, back_norm2 = T.layer_norm(y1, p.norm2_g, p.norm2_b)
-    f2, back_ffn = ffn(y1n, p)
+    f2, back_ffn = T.ffn(y1n, p.ffn_w1, p.ffn_b1, p.ffn_dw, p.ffn_w2, p.ffn_b2)
     y = y1 + f2
 
     state = ClusterState(centers_v=cvt, soft_sim=s_c, assignment=assign,

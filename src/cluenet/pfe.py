@@ -4,7 +4,7 @@ The stem concatenates a fixed normalized coordinate grid to the RGB image,
 cuts the 5-channel result into non-overlapping 4x4 patches, and projects
 each patch to the stage width. A 3x3 depth-wise convolution added back onto
 the embedded map supplies position information downstream; the same residual
-reappears inside every block FFN.
+reappears inside every block FFN, where ``T.ffn`` runs it as part of one op.
 """
 
 from __future__ import annotations

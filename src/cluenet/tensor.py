@@ -1,7 +1,7 @@
 """Dense-tensor substrate: primitive layers with hand-derived backward passes.
 
 Values are dense row-major numpy arrays in float32 (reference width) or
-float64 (used by all gradient checks). Every operation here returns
+float64 (used by all gradient checks). Every public op here returns
 ``(out, backward)`` where ``backward`` maps the upstream gradient to input
 gradients and accumulates parameter gradients in place. There is no
 autodiff graph; composite modules chain these closures explicitly, and a
@@ -16,11 +16,10 @@ activations' dtype and cast by ``Parameter.add_grad``. A backward closure
 holds only the arrays its formula reads, and it reads shapes from those
 arrays: everything it holds stays alive until the backward runs, so an
 input kept only for its shape adds to peak memory. The other way to hold
-less is to recompute: a composite keeps an earlier input and re-runs the
-ops after it in its backward. ``linear``, ``gelu`` and ``dwconv2d`` offer
-their forward alone (``*_fwd``) for that, and ``linear`` and ``dwconv2d``
-their backward from a given input (``*_bwd``). A backward runs once; what
-it held is freed when it returns (``once``).
+less is to recompute: ``ffn`` holds its hidden map alone and re-runs the
+depth-wise conv and the GELU from it in its backward, through the private
+forward and backward halves of ``linear`` and ``dwconv2d``. A backward
+runs once; what it held is freed when it returns (``once``).
 """
 
 from __future__ import annotations
@@ -148,12 +147,12 @@ def linear(x: np.ndarray, w: Parameter, bias: Parameter | None = None):
     per leading index. The weight gradient is computed in ``w``'s dtype,
     so the backward holds ``x`` in it.
     """
-    y = linear_fwd(x, w, bias)
+    y = _linear_fwd(x, w, bias)
     xw = x.reshape(-1, x.shape[-1]).astype(w.value.dtype, copy=False)
-    return y, once(lambda dy: linear_bwd(dy, xw, w, bias))
+    return y, once(lambda dy: _linear_bwd(dy, xw, w, bias))
 
 
-def linear_fwd(x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np.ndarray:
+def _linear_fwd(x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np.ndarray:
     """``linear``'s output alone."""
     wmat = w.value.reshape(*w.value.shape[:1], math.prod(w.value.shape[1:]))
     if x.shape[-1:] != wmat.shape[1:] or (bias is not None and bias.shape != wmat.shape[:1]):
@@ -165,7 +164,7 @@ def linear_fwd(x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np
     return y.reshape(*x.shape[:-1], y.shape[-1])
 
 
-def linear_bwd(dy: np.ndarray, x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np.ndarray:
+def _linear_bwd(dy: np.ndarray, x: np.ndarray, w: Parameter, bias: Parameter | None = None) -> np.ndarray:
     """``linear(x, w, bias)``'s backward at ``dy``: accumulates the weight and
     bias gradients and returns ``x``'s. ``x`` may come in any dtype."""
     wmat = w.value.reshape(*w.value.shape[:1], math.prod(w.value.shape[1:]))
@@ -182,11 +181,6 @@ def gelu(x: np.ndarray):
     cdf = _normal_cdf(x)
     slope = cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
     return x * cdf, once(lambda dy: dy * slope)
-
-
-def gelu_fwd(x: np.ndarray) -> np.ndarray:
-    """``gelu``'s output alone: it computes no slope."""
-    return x * _normal_cdf(x)
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -212,6 +206,28 @@ def mlp2(x: np.ndarray, p: Mlp2Params):
     a, back_act = gelu(h)
     y, back2 = linear(a, p.w2, p.b2)
     return y, chain(back1, back_act, back2)
+
+
+def ffn(x: np.ndarray, w1: Parameter, b1: Parameter, dw: Parameter, w2: Parameter, b2: Parameter):
+    """linear -> h + dwconv2d(h) -> GELU -> linear: the block FFN.
+
+    The backward holds only the hidden map ``h = linear(x, w1, b1)``, in its
+    own dtype, and re-runs the depth-wise conv and the GELU from it: one
+    conv einsum and one erf, no GEMM (activation checkpointing). So the
+    forward computes no GELU slope and makes no copy of a hidden map in the
+    parameters' dtype.
+    """
+    h, back1 = linear(x, w1, b1)
+    hidden = lambda: h + _dwconv2d_fwd(h, dw.value)
+
+    def backward(dy: np.ndarray) -> np.ndarray:
+        a, back_act = gelu(hidden())
+        d_hp = back_act(_linear_bwd(dy, a, w2, b2))
+        return d_hp + _dwconv2d_bwd(d_hp, h, dw)
+
+    a = hidden()
+    a *= _normal_cdf(a)
+    return _linear_fwd(a, w2, b2), chain(back1, backward)
 
 
 def sigmoid(x: np.ndarray):
@@ -243,12 +259,12 @@ def dwconv2d(x: np.ndarray, kernel: Parameter):
     kernel gradient is computed in the kernel's dtype, so the backward
     holds ``x`` in it.
     """
-    y = dwconv2d_fwd(x, kernel.value)
+    y = _dwconv2d_fwd(x, kernel.value)
     xk = x.astype(kernel.value.dtype, copy=False)
-    return y, once(lambda dy: dwconv2d_bwd(dy, xk, kernel))
+    return y, once(lambda dy: _dwconv2d_bwd(dy, xk, kernel))
 
 
-def dwconv2d_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _dwconv2d_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``dwconv2d``'s output alone, for a kernel array ``k``."""
     if k.ndim != 3 or k.shape[0] != k.shape[1]:
         raise ConfigError(f"dwconv2d kernel must be square (k, k, C), got shape {k.shape}")
@@ -258,14 +274,14 @@ def dwconv2d_fwd(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.einsum("buvchw,uvc->bhwc", _taps(x, len(k)), k)
 
 
-def dwconv2d_bwd(dy: np.ndarray, x: np.ndarray, kernel: Parameter) -> np.ndarray:
+def _dwconv2d_bwd(dy: np.ndarray, x: np.ndarray, kernel: Parameter) -> np.ndarray:
     """``dwconv2d(x, kernel)``'s backward at ``dy``: accumulates the kernel
     gradient and returns ``x``'s. ``x`` may come in any dtype; its taps in
     the kernel's dtype are freed before ``dy`` is padded."""
     kd = kernel.value.dtype
     kernel.add_grad(np.einsum("buvchw,bhwc->uvc", _taps(x.astype(kd, copy=False), len(kernel.value)),
                               dy.astype(kd, copy=False)))
-    return dwconv2d_fwd(dy, kernel.value[::-1, ::-1])
+    return _dwconv2d_fwd(dy, kernel.value[::-1, ::-1])
 
 
 def _taps(a: np.ndarray, k: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """tools/ab.py's summary of parent/change pairs, on synthetic run records.
 
 These tests run no benchmark: they check the sign test, the quartiles,
-the verdicts and the keys of one metric's summary.
+the verdicts and the keys of one metric's summary, and how one run's
+last output line is read, from a stub ``cluebench/run.py``.
 """
 
 import importlib.util
@@ -71,6 +72,27 @@ def test_only_metrics_both_sides_report_in_every_pair_are_summarised(ab):
     assert set(out["step_ms_p50"]) == {"better", "parent", "change", "ratios", "wins", "losses",
                                        "p", "verdict", "median_shift_exceeds_parent_iqr"}
     json.dumps(out)                                      # the file is plain JSON
+
+
+def test_no_pairs_summarise_no_metric(ab):
+    """Every pair of a workload failed: the file still records pairs: 0."""
+    assert ab.summarise([], {"step_ms_p50": "lower", "images_per_s": "higher"}) == {}
+
+
+GOOD = {"correct": True, "metrics": {"step_ms_p50": {"value": 12.5}, "setup_s": {"value": 0.1}}}
+
+
+@pytest.mark.parametrize(("last_line", "want"), [
+    ("Traceback (most recent call last): no metrics", {}),
+    (json.dumps({"correct": False}), {}),
+    (json.dumps(GOOD), {"step_ms_p50": 12.5, "setup_s": 0.1}),
+], ids=["not_json", "incorrect", "good"])
+def test_run_side_reads_the_last_line_of_a_run(ab, tmp_path, last_line, want):
+    (tmp_path / "cluebench").mkdir()
+    (tmp_path / "cluebench" / "run.py").write_text(
+        f"import sys\nassert sys.argv[1:3] == ['--workload', 'train_small']\n"
+        f"print('warming up')\nprint({last_line!r})\n")
+    assert ab.run_side(tmp_path, "train_small", 3, 1.0, 0) == want
 
 
 def test_every_benchmark_metric_has_a_direction(ab):

@@ -148,12 +148,28 @@ def _gate():
     return T.Mlp2Params(_p(np.ones((2, 4))), _p(np.zeros(2)), _p(np.ones((1, 2))), _p(np.zeros(1)))
 
 
+_FFN = {"x": np.ones((1, 2, 2, 2)), "w1": np.ones((4, 2)), "b1": np.zeros(4),
+        "dw": np.ones((3, 3, 4)), "w2": np.ones((2, 4)), "b2": np.zeros(2)}
+
+
+def _ffn(**given):
+    """T.ffn of a (1, 2, 2, 2) map through a 4-wide hidden map, ``given`` operands replaced."""
+    ops = {**_FFN, **given}
+    return T.ffn(ops["x"], *(_p(ops[k]) for k in ("w1", "b1", "dw", "w2", "b2")))
+
+
 _ROWS = np.ones((1, 2, 2))       # (heads, rows, width) operand that fits every call below
 RANK_CALLS = {   # id: call given an array ``a`` of the rank under test; the other operands fit
     "linear x": lambda a: T.linear(a, _p(np.ones((2, 2)))),
     "linear w": lambda a: T.linear(np.ones((1, 2)), _p(a)),
     "mlp2 x": lambda a: T.mlp2(a, T.Mlp2Params(_p(np.ones((2, 2))), _p(np.zeros(2)),
                                                _p(np.ones((2, 2))), _p(np.zeros(2)))),
+    "ffn x": lambda a: _ffn(x=a),
+    "ffn w1": lambda a: _ffn(w1=a),
+    "ffn b1": lambda a: _ffn(b1=a),
+    "ffn dw": lambda a: _ffn(dw=a),
+    "ffn w2": lambda a: _ffn(w2=a),
+    "ffn b2": lambda a: _ffn(b2=a),
     "cosine_sim a": lambda a: T.cosine_sim(a, _ROWS),
     "cosine_sim b": lambda a: T.cosine_sim(_ROWS, a),
     "cosine_sim a and b": lambda a: T.cosine_sim(a, a),

@@ -732,13 +732,13 @@ def test_two_block_sharing_grad_matches_fd_fa_off():
 # FFN
 # ---------------------------------------------------------------------------
 
-def ffn_op_by_op(x, p):
+def ffn_op_by_op(x, w1, b1, dw, w2, b2):
     """The block FFN as four ops, each backward holding what it reads: the
-    conv input and ffn_w2's input in the parameters' dtype, GELU's slope."""
-    h1, back_f1 = T.linear(x, p.ffn_w1, p.ffn_b1)
-    h1p, back_posr = pfe.pos_residual(h1, p.ffn_dw)
+    conv input and w2's input in the parameters' dtype, GELU's slope."""
+    h1, back_f1 = T.linear(x, w1, b1)
+    h1p, back_posr = pfe.pos_residual(h1, dw)
     a1, back_act = T.gelu(h1p)
-    f2, back_f2 = T.linear(a1, p.ffn_w2, p.ffn_b2)
+    f2, back_f2 = T.linear(a1, w2, b2)
     return f2, T.chain(back_f1, back_posr, back_act, back_f2)
 
 
@@ -748,10 +748,11 @@ def ffn_op_by_op(x, p):
 def test_ffn_recompute_keeps_the_bytes(monkeypatch, xdtype, pdtype, owns):
     """Re-running the depth-wise conv and the GELU from h1 in the backward
     changes no bit of the block's output, input gradient or any parameter
-    gradient, also when float32 parameters meet a float64 map."""
-    runs = []
-    for ffn in (gfc.ffn, ffn_op_by_op):
-        monkeypatch.setattr(gfc, "ffn", ffn)
+    gradient, also when float32 parameters meet a float64 map. Each side's
+    calls are counted, so the block reads T.ffn through the module."""
+    runs, calls, sides = [], [], (T.ffn, ffn_op_by_op)
+    for ffn in sides:
+        monkeypatch.setattr(T, "ffn", lambda *a, ffn=ffn: calls.append(ffn) or ffn(*a))
         rng = np.random.default_rng(42)
         p = live(toy_block(rng, d=8, dp=8, heads=2, scale=3.0), rng)
         for q in p.params():
@@ -766,6 +767,8 @@ def test_ffn_recompute_keeps_the_bytes(monkeypatch, xdtype, pdtype, owns):
         runs.append([y, *(grads if isinstance(grads, tuple) else [grads])]
                     + [q.grad for q in p.params()])
     got, want = runs
+    forwards = 1 if owns else 2      # a consumer's owner runs first
+    assert calls == [sides[0]] * forwards + [sides[1]] * forwards
     assert len(got) == len(want) and got[0].dtype == xdtype
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -90,6 +90,8 @@ DTYPE_CASES = {
     "patch_embed": lambda r: op_case(r, pfe.patch_embed, arr(r, 2, 8, 8, 3), pfe.make_grid(8, 8),
                                      par(r, "w", 6, 4, 4, 5), par(r, "b", 6)),
     "mlp2": lambda r: op_case(r, T.mlp2, arr(r, 2, 3, 4), mlp(r, 4, 6, 5)),
+    "ffn": lambda r: op_case(r, T.ffn, arr(r, 2, 4, 4, 3), par(r, "w1", 6, 3), par(r, "b1", 6),
+                             par(r, "dw", 3, 3, 6), par(r, "w2", 3, 6), par(r, "b2", 3)),
     "pos_residual": lambda r: op_case(r, pfe.pos_residual, arr(r, 2, 4, 4, 3), par(r, "k", 3, 3, 3)),
     "init_centers": lambda r: op_case(r, gfc.init_centers, arr(r, 2, 4, 4, 3), 2, 2),
     "soft_aggregate_cosine": lambda r: op_case(r, gfc.soft_aggregate, arr(r, 2, 2, 4, 3),

@@ -129,6 +129,23 @@ def test_aggregate_holds_only_the_attention_it_returned(tcos):
     assert len(maps) == 1 and maps[0] is s_c
 
 
+@pytest.mark.parametrize(("xdtype", "pdtype"), [(F64, F64), (F64, np.float32), (np.float32, np.float32)],
+                         ids=["float64", "float64_map-float32_params", "float32"])
+def test_ffn_holds_its_hidden_map_alone(monkeypatch, xdtype, pdtype):
+    """Of the hidden width, T.ffn's backward holds h = linear(x, w1, b1)
+    itself, in its own dtype, and nothing rebuilt from it."""
+    rng = np.random.default_rng(17)
+    ps = [T.Parameter(n, rng.normal(size=s).astype(pdtype))
+          for n, s in (("w1", (32, 8)), ("b1", (32,)), ("dw", (3, 3, 32)), ("w2", (8, 32)), ("b2", (8,)))]
+    outs, linear = [], T.linear
+    monkeypatch.setattr(T, "linear", lambda *a: outs.append(res := linear(*a)) or res)
+    _, back = T.ffn(rng.normal(size=(2, 3, 3, 8)).astype(xdtype), *ps)
+    [(h, _)] = outs
+    hidden = [a for a in closure_arrays(back) if a.shape[-1] == 32]
+    assert len(hidden) == 1 and hidden[0] is closure_arrays(lambda: h)[0]      # h's own buffer
+    assert hidden[0].dtype == np.result_type(xdtype, pdtype)
+
+
 def _block(rng, owns):
     return gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), owns_assignment=owns, dtype=F64)
 
@@ -189,7 +206,7 @@ def test_backward_does_not_keep_the_input_alive(op):
     assert ref() is None and callable(back)
 
 
-SPENT_RUNS = {   # id: call on a (2, 4, 4, 8) x; the last five return T.chain of their parts' backwards
+SPENT_RUNS = {   # id: call on a (2, 4, 4, 8) x; the last six return T.chain of their parts' backwards
     "linear": lambda x: T.linear(x, param("w", np.ones((3, 8)))),
     "gfc_owner": _gfc_owner,
     "mlp2": lambda x: T.mlp2(x, T.Mlp2Params(param("w1", np.ones((3, 8))), param("b1", np.zeros(3)),
@@ -200,6 +217,8 @@ SPENT_RUNS = {   # id: call on a (2, 4, 4, 8) x; the last five return T.chain of
         x, icp.make_linear_transition(np.random.default_rng(15), 8, 6, F64)),
     "patch_embed": lambda x: pfe.patch_embed(x[..., :3], pfe.make_grid(4, 4, F64),
                                              param("w", np.ones((6, 4, 4, 5))), param("b", np.zeros(6))),
+    "ffn": lambda x: T.ffn(x, param("w1", np.ones((6, 8))), param("b1", np.zeros(6)),
+                           param("dw", np.ones((3, 3, 6))), param("w2", np.ones((3, 6))), param("b2", np.zeros(3))),
 }
 
 

@@ -440,6 +440,15 @@ def test_grad_mlp2():
     grad_check(lambda x: T.mlp2(x, p), [rng.normal(size=(3, 3))], wave((3, 2)), params=p.params())
 
 
+def test_grad_ffn():
+    """Through the recompute: the backward rebuilds the conv and the GELU from h."""
+    rng = np.random.default_rng(21)
+    ps = [param("w1", rng.normal(size=(6, 3))), param("b1", rng.normal(size=6)),
+          param("dw", rng.normal(size=(3, 3, 6))), param("w2", rng.normal(size=(2, 6))),
+          param("b2", rng.normal(size=2))]
+    grad_check(lambda x: T.ffn(x, *ps), [rng.normal(size=(1, 3, 4, 3))], wave((1, 3, 4, 2)), params=ps)
+
+
 def test_grad_dwconv():
     rng = np.random.default_rng(12)
     k = param("k", rng.normal(size=(3, 3, 2)))
@@ -550,6 +559,9 @@ def test_trunc_normal_bounds_and_determinism():
 
 MAP_OPS = {
     "dwconv2d": lambda x: T.dwconv2d(x, param("k", np.zeros((3, 3, 4)))),
+    "ffn": lambda x: T.ffn(x, param("w1", np.zeros((8, 4))), param("b1", np.zeros(8)),
+                           param("dw", np.zeros((3, 3, 8))), param("w2", np.zeros((4, 8))),
+                           param("b2", np.zeros(4))),
     "adaptive_avg_pool2d": lambda x: T.adaptive_avg_pool2d(x, 2, 2),
     "patch_embed": lambda x: pfe.patch_embed(x[..., :3], pfe.make_grid(4, 4, dtype=F64),
                                              param("w", np.zeros((2, 4, 4, 5))),

@@ -49,8 +49,8 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per-metric summary of ``pairs``, each ``{"seed", "parent", "change"}``
     with the two sides' ``{metric: value}``; ``better`` maps a metric to
     "higher" or "lower". Only metrics that both sides report in every pair
-    and that ``better`` names are summarised."""
-    names = [m for m in better if all(m in p["parent"] and m in p["change"] for p in pairs)]
+    and that ``better`` names are summarised; with no pairs, none is."""
+    names = [m for m in better if pairs and all(m in p["parent"] and m in p["change"] for p in pairs)]
     out = {}
     for m in names:
         par = [p["parent"][m] for p in pairs]
