@@ -60,8 +60,7 @@ def patch_embed(img: np.ndarray, grid: np.ndarray, weight: T.Parameter,
         raise ConfigError(f"patch_embed: spatial extents ({h},{w}) not divisible by {PATCH}")
     if grid.shape != (h, w, GRID_CHANNELS):
         raise DimensionError(f"patch_embed: grid shape {grid.shape} != ({h},{w},{GRID_CHANNELS})")
-    d = weight.value.shape[0]
-    if weight.value.shape != (d, PATCH, PATCH, IMG_CHANNELS + GRID_CHANNELS):
+    if weight.value.shape[1:] != (PATCH, PATCH, IMG_CHANNELS + GRID_CHANNELS):     # (d, 4, 4, 5), d any
         raise DimensionError(f"patch_embed: weight shape {weight.value.shape} invalid")
 
     g = np.broadcast_to(grid.astype(img.dtype, copy=False), (b, h, w, GRID_CHANNELS))

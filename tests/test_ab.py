@@ -1,8 +1,9 @@
 """tools/ab.py's summary of parent/change pairs, on synthetic run records.
 
-These tests run no benchmark: they check the sign test, the quartiles,
-the verdicts and the keys of one metric's summary, and how one run's
-last output line is read, from a stub ``cluebench/run.py``.
+These tests run no benchmark: they check the sign test and its Holm
+adjustment, the quartiles, the verdicts and the keys of one metric's
+summary, and how one run's last output line is read, from a stub
+``cluebench/run.py``.
 """
 
 import importlib.util
@@ -39,8 +40,29 @@ def test_nine_of_ten_pairs_decide_the_verdict_by_the_metrics_direction(ab, bette
     parent = [100.0 + i for i in range(10)]
     change = [a - 5.0 for a in parent[:9]] + [parent[9] + 1.0]
     s = ab.summarise(pairs_of(parent, change), {"step_ms_p50": better})["step_ms_p50"]
-    assert s["verdict"] == verdict and s["p"] < ab.ALPHA
+    assert s["verdict"] == verdict and s["p"] == s["p_holm"] < ab.ALPHA      # a family of one
     assert (s["wins"], s["losses"]) == ((9, 1) if better == "lower" else (1, 9))
+
+
+def test_one_of_six_metrics_winning_nine_pairs_is_unresolved(ab):
+    """The verdict is family-wise: Holm over the six metrics of one call puts
+    the lone 9-of-10 metric's p = 0.021 at 6 * 0.021 > ALPHA."""
+    names = ["step_ms_p50", "step_ms_tail", "images_per_s", "setup_s", "peak_rss_mb", "ok_rate"]
+    parent = [100.0 + i for i in range(10)]
+    change = [a - 5.0 for a in parent[:9]] + [parent[9] + 1.0]
+    pairs = [{"seed": i, "parent": {m: a for m in names}, "change": {m: c if m == names[0] else a for m in names}}
+             for i, (a, c) in enumerate(zip(parent, change))]
+    out = ab.summarise(pairs, {m: "lower" for m in names})
+    s = out["step_ms_p50"]
+    assert (s["wins"], s["losses"]) == (9, 1) and s["p"] < ab.ALPHA
+    assert s["p_holm"] == pytest.approx(6 * s["p"]) and s["verdict"] == "unresolved"
+    assert {o["verdict"] for o in out.values()} == {"unresolved"}
+
+
+def test_holm_steps_down_and_stays_monotone(ab):
+    assert ab.holm({"a": 0.01, "b": 0.04, "c": 0.03}) == pytest.approx({"a": 0.03, "b": 0.06, "c": 0.06})
+    assert ab.holm({"a": 0.5, "b": 0.6}) == {"a": 1.0, "b": 1.0}
+    assert ab.holm({}) == {}
 
 
 def test_ties_and_an_even_split_are_unresolved(ab):
@@ -70,7 +92,7 @@ def test_only_metrics_both_sides_report_in_every_pair_are_summarised(ab):
     out = ab.summarise(pairs, {"step_ms_p50": "lower", "ok_rate": "higher", "setup_s": "lower"})
     assert list(out) == ["step_ms_p50"]
     assert set(out["step_ms_p50"]) == {"better", "parent", "change", "ratios", "wins", "losses",
-                                       "p", "verdict", "median_shift_exceeds_parent_iqr"}
+                                       "p", "p_holm", "verdict", "median_shift_exceeds_parent_iqr"}
     json.dumps(out)                                      # the file is plain JSON
 
 

@@ -13,6 +13,7 @@ import pytest
 from cluenet import gfc
 from cluenet import tensor as T
 from cluenet.errors import CluenetError
+from ops import F64, OPS, build
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cluenet"
@@ -47,6 +48,16 @@ def test_package_raises_only_typed_errors():
     assert not bad, "builtin exceptions raised; use a class from errors.py:\n" + "\n".join(bad)
 
 
+def own_nodes(fn: ast.FunctionDef) -> list[ast.AST]:
+    """The nodes of ``fn``'s body, not those of the functions it defines."""
+    own, todo = [], list(fn.body)
+    while todo:
+        own.append(node := todo.pop())
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return own
+
+
 def bare_backwards(source: str) -> list[tuple[int, str]]:
     """(line, name) of each nested function that a function in ``source``
     returns as it is, alone or in a tuple, not through ``once``. A returned
@@ -56,11 +67,7 @@ def bare_backwards(source: str) -> list[tuple[int, str]]:
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef) or fn.name == "once":
             continue
-        own, todo = [], list(fn.body)       # fn's nodes, not those of the functions it defines
-        while todo:
-            own.append(node := todo.pop())
-            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                todo.extend(ast.iter_child_nodes(node))
+        own = own_nodes(fn)
         nested = {n.name for n in own if isinstance(n, ast.FunctionDef)}
         for ret in own:
             if isinstance(ret, ast.Return) and ret.value is not None:
@@ -139,64 +146,70 @@ def test_package_defines_no_unread_name():
     assert not unread, "defined but read nowhere; delete it:\n" + "\n".join(unread)
 
 
-def _p(value):
-    return T.Parameter("p", value)
+def public_ops(source: str) -> list[str]:
+    """Names of the public top-level functions in ``source`` that return a
+    tuple ending in a call of ``once`` or ``chain``: the ops that return
+    (out, ..., backward)."""
+    def backward_call(node):
+        f = getattr(node, "func", None)
+        return getattr(f, "id", getattr(f, "attr", None)) in ("once", "chain")
+    return [fn.name for fn in ast.parse(source).body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and any(isinstance(r, ast.Return) and isinstance(r.value, ast.Tuple) and backward_call(r.value.elts[-1])
+                    for r in own_nodes(fn))]
 
 
-def _gate():
-    """Gate perceptron of a 2-wide block: 4 -> 2 -> 1."""
-    return T.Mlp2Params(_p(np.ones((2, 4))), _p(np.zeros(2)), _p(np.ones((1, 2))), _p(np.zeros(1)))
+def test_lint_finds_the_ops_that_return_a_backward():
+    src = ("def op(x):\n    return x, T.once(lambda d: d)\ndef pair(x):\n    return x, x, chain(f, g)\n"
+           "def _private(x):\n    return x, once(f)\ndef chain(*backs):\n    return once(f)\n"
+           "def outer(x):\n    def inner(y):\n        return y, once(f)\n    return inner\n")
+    assert public_ops(src) == ["op", "pair"]
 
 
-_FFN = {"x": np.ones((1, 2, 2, 2)), "w1": np.ones((4, 2)), "b1": np.zeros(4),
-        "dw": np.ones((3, 3, 4)), "w2": np.ones((2, 4)), "b2": np.zeros(2)}
+def test_every_public_op_has_a_catalogue_row():
+    """Each op of src/cluenet is the fn of a row of tests/ops.py, so every
+    catalogue property covers it, and each row's fn is such an op."""
+    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for name in public_ops(path.read_text())}
+    rows = {f"{op.fn.__module__.rsplit('.', 1)[-1]}.{op.fn.__name__}" for op in OPS.values()}
+    assert found, f"no ops found under {PACKAGE}"
+    assert found == rows, f"ops without a row: {sorted(found - rows)}; rows of no op: {sorted(rows - found)}"
 
 
-def _ffn(**given):
-    """T.ffn of a (1, 2, 2, 2) map through a 4-wide hidden map, ``given`` operands replaced."""
-    ops = {**_FFN, **given}
-    return T.ffn(ops["x"], *(_p(ops[k]) for k in ("w1", "b1", "dw", "w2", "b2")))
+def rank_cases() -> dict:
+    """id: call given an array ``a`` of the rank under test. A case puts ``a``
+    in place of one array or Parameter operand of an op, or of all its two or
+    more array operands; the first row of an op that has those operands
+    supplies the case, whose id is "<op> <operands>". Three cases keep the
+    shorter ids they had before the catalogue. split_heads and merge_heads
+    return no backward, so they have no row and are cases of their own."""
+    def call(op, names):
+        def run(a):
+            fn, operands = build(op, np.random.default_rng(0), F64)
+            return fn(**{**operands, **{k: T.Parameter(k, a) if isinstance(operands[k], T.Parameter) else a
+                                        for k in names}})
+        return run
+    kept = {("init_centers", "p_map"): "init_centers", ("project_queries", "centers"): "project_queries",
+            ("soft_aggregate_dot", "c_s and p_s and p_v"): "soft_aggregate dot product"}
+    cases = {"split_heads": lambda a: gfc.split_heads(a, 2), "merge_heads": gfc.merge_heads}
+    for op in OPS:
+        fn, operands = build(op, np.random.default_rng(0), F64)
+        arrays = [k for k, v in operands.items() if isinstance(v, np.ndarray)]
+        groups = [[k] for k, v in operands.items() if isinstance(v, (np.ndarray, T.Parameter))]
+        for names in groups + [arrays] * (len(arrays) > 1):
+            label = " and ".join(names)
+            cases.setdefault(kept.get((op, label), f"{fn.__name__} {label}"), call(op, names))
+    return cases
 
 
-_ROWS = np.ones((1, 2, 2))       # (heads, rows, width) operand that fits every call below
-RANK_CALLS = {   # id: call given an array ``a`` of the rank under test; the other operands fit
-    "linear x": lambda a: T.linear(a, _p(np.ones((2, 2)))),
-    "linear w": lambda a: T.linear(np.ones((1, 2)), _p(a)),
-    "mlp2 x": lambda a: T.mlp2(a, T.Mlp2Params(_p(np.ones((2, 2))), _p(np.zeros(2)),
-                                               _p(np.ones((2, 2))), _p(np.zeros(2)))),
-    "ffn x": lambda a: _ffn(x=a),
-    "ffn w1": lambda a: _ffn(w1=a),
-    "ffn b1": lambda a: _ffn(b1=a),
-    "ffn dw": lambda a: _ffn(dw=a),
-    "ffn w2": lambda a: _ffn(w2=a),
-    "ffn b2": lambda a: _ffn(b2=a),
-    "cosine_sim a": lambda a: T.cosine_sim(a, _ROWS),
-    "cosine_sim b": lambda a: T.cosine_sim(_ROWS, a),
-    "cosine_sim a and b": lambda a: T.cosine_sim(a, a),
-    "split_heads": lambda a: gfc.split_heads(a, 2),
-    "merge_heads": lambda a: gfc.merge_heads(a),
-    "init_centers": lambda a: gfc.init_centers(a, 1, 1),
-    "soft_aggregate c_s": lambda a: gfc.soft_aggregate(a, _ROWS, _ROWS, _p(np.zeros(()))),
-    "soft_aggregate p_s": lambda a: gfc.soft_aggregate(_ROWS, a, _ROWS, _p(np.zeros(()))),
-    "soft_aggregate p_v": lambda a: gfc.soft_aggregate(_ROWS, _ROWS, a, _p(np.zeros(()))),
-    "soft_aggregate tau_raw": lambda a: gfc.soft_aggregate(_ROWS, _ROWS, _ROWS, _p(a)),
-    "soft_aggregate dot product": lambda a: gfc.soft_aggregate(a, a, a, None),
-    "gated_fuse c_v": lambda a: gfc.gated_fuse(a, _ROWS, _gate()),
-    "gated_fuse c_agg": lambda a: gfc.gated_fuse(_ROWS, a, _gate()),
-    "gated_fuse c_v and c_agg": lambda a: gfc.gated_fuse(a, a, _gate()),
-    "project_queries": lambda a: gfc.project_queries(a, _p(np.ones((2, 2))), 2),
-    "compute_assignment p_s": lambda a: gfc.compute_assignment(a, _ROWS, 1.0, 0.0),
-    "compute_assignment q": lambda a: gfc.compute_assignment(_ROWS, a, 1.0, 0.0),
-    "compute_assignment p_s and q": lambda a: gfc.compute_assignment(a, a, 1.0, 0.0),
-}
+RANK_CASES = rank_cases()
 
 
 @pytest.mark.parametrize("rank", range(6))
-@pytest.mark.parametrize("call", sorted(RANK_CALLS))
-def test_an_operand_of_any_rank_raises_only_typed_errors(call, rank):
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_an_operand_of_any_rank_raises_only_typed_errors(case, rank):
     """An operand of the wrong rank is rejected with an errors.py class, not
     an IndexError, AxisError or TypeError from inside numpy."""
     try:
-        RANK_CALLS[call](np.ones((2,) * rank))
+        RANK_CASES[case](np.ones((2,) * rank))
     except CluenetError:
         pass

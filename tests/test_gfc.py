@@ -10,13 +10,9 @@ from cluenet import gfc, pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check
+from ops import F64, param
 
-F64 = np.float64
 SIGMOID_1 = 0.7310585786300049  # frozen: 1/(1+exp(-1))
-
-
-def param(name, value):
-    return T.Parameter(name, np.asarray(value, dtype=F64))
 
 
 def toy_block(rng, d=8, dp=8, heads=2, grid=(2, 2), flags=gfc.BlockFlags(),
@@ -202,7 +198,7 @@ def test_aggregate_recomputed_map_keeps_the_bytes(log_tau, dtype):
     d_out = rng.normal(size=(2, 2, 4, 3)).astype(dtype)
     runs = []
     for fn in (gfc.soft_aggregate, soft_aggregate_keep_map):
-        tau_raw = None if log_tau is None else T.Parameter("tau_raw", np.asarray(log_tau, dtype))
+        tau_raw = None if log_tau is None else param("tau_raw", log_tau, dtype)
         out, s_c, back = fn(*inputs, tau_raw)
         runs.append([out, s_c, *back(d_out), getattr(tau_raw, "grad", None)])
     got, want = runs
@@ -462,8 +458,8 @@ def test_dispatch_center_gradient_matches_scatter_oracle():
     centers = rng.normal(size=(bsz, heads, m, dh)).astype(np.float32)
     cols = rng.integers(0, m - 1, size=(bsz, heads, n)).astype(np.int32)   # center m-1 empty
     weights = rng.uniform(0.2, 0.8, size=cols.shape).astype(np.float32)
-    fc = T.Parameter("fc", np.eye(heads * dh, dtype=np.float32))
-    b = T.Parameter("b", np.zeros(heads * dh, dtype=np.float32))
+    fc = param("fc", np.eye(heads * dh), np.float32)
+    b = param("b", np.zeros(heads * dh), np.float32)
     p = rng.normal(size=(bsz, n, heads * dh)).astype(np.float32)
     out, back = gfc.dispatch(p, gfc.HardAssignment(cols, weights, m=m), centers, fc, b)
     d_out = rng.normal(size=out.shape)

@@ -7,12 +7,7 @@ from cluenet import pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check, wave
-
-F64 = np.float64
-
-
-def param(name, value):
-    return T.Parameter(name, np.asarray(value, dtype=F64))
+from ops import F64, param
 
 
 # ---------------------------------------------------------------------------

@@ -3,29 +3,12 @@
 import numpy as np
 import pytest
 
-from cluenet import gfc, icp, pfe
-from cluenet import tensor as T
-
-F32 = np.float32
-F64 = np.float64
+from cluenet import gfc, icp
+from ops import F32, F64, OPS, block, build, output, params
 
 
 def arr(rng, *shape, dtype=F32):
     return rng.normal(size=shape).astype(dtype)
-
-
-def par(rng, name, *shape):
-    return T.Parameter(name, arr(rng, *shape))
-
-
-def live_block(rng, owns=True, dtype=F32, flags=gfc.BlockFlags()):
-    """A width-8, 2-head block whose residual branches are not zero, so it is
-    not the identity."""
-    p = gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), flags, owns, dtype=dtype)
-    for q in p.params():
-        if q.value.ndim >= 2:
-            q.value = T.trunc_normal(rng, q.shape, 0.2, dtype)
-    return p
 
 
 def as_list(grads):
@@ -36,100 +19,29 @@ def as_list(grads):
 # dtype: float32 in gives float32 out and float32 gradients
 # ---------------------------------------------------------------------------
 
-def op_case(rng, fn, *args):
-    """Forward and backward of an op returning (out, ..., backward). A
-    HardAssignment out stands for its weights; the float gradients of
-    compute_assignment's scalar alpha and beta are not arrays and are left out."""
-    res = fn(*args)
-    out = res[0].weights if isinstance(res[0], gfc.HardAssignment) else res[0]
+# Only the forward promotes now: _pool_means divides float32 sums by int64
+# counts, so the pooled means and the output are float64, while dx is cast
+# back to x's dtype (test_icp_input_gradient_keeps_x_dtype). The one-line
+# forward fix (counts in the vectors' dtype) moves the network's
+# float32-vs-float64 stage errors past the benchmark output check's
+# F64_RTOL bound, mostly through float32 accumulation in linear, so it
+# waits for that bound to be re-derived.
+ICP_PROMOTES = pytest.mark.xfail(strict=True, reason="_pool_means promotes the output to float64")
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, marks=ICP_PROMOTES) if op == "icp" else op for op in OPS])
+def test_float32_is_kept(op):
+    """Of the backward's results, the arrays are checked: compute_assignment's
+    scalar alpha and beta gradients are floats."""
+    rng = np.random.default_rng(0)
+    fn, operands = build(op, rng, F32)
+    res = fn(**operands)
+    out = output(res)
     grads = [g for g in as_list(res[-1](arr(rng, *out.shape))) if isinstance(g, np.ndarray)]
-    params = [q for a in args if isinstance(a, (T.Parameter, T.ParamSet))
-              for q in (a.params() if isinstance(a, T.ParamSet) else [a])]
-    return out, grads, params
-
-
-def gfc_case(owns, flags=gfc.BlockFlags()):
-    def case(rng):
-        x = arr(rng, 2, 4, 4, 8)
-        shared = None if owns else gfc.gfc_block_forward(x, live_block(rng))[1].assignment
-        p = live_block(rng, owns, flags=flags)
-        y, _, back = gfc.gfc_block_forward(x, p, shared=shared)
-        return y, as_list(back(arr(rng, *y.shape))), p.params()
-    return case
-
-
-def mlp(rng, d_in, d_hidden, d_out):
-    return T.Mlp2Params(par(rng, "w1", d_hidden, d_in), par(rng, "b1", d_hidden),
-                        par(rng, "w2", d_out, d_hidden), par(rng, "b2", d_out))
-
-
-def dispatch_case(rng):
-    """B=2, 2 heads of width 3 over m=4 centers and n=5 pixels, d=6."""
-    assign = gfc.HardAssignment(rng.integers(0, 4, (2, 2, 5)).astype(np.int32), arr(rng, 2, 2, 5), 4)
-    return op_case(rng, gfc.dispatch, arr(rng, 2, 5, 6), assign, arr(rng, 2, 2, 4, 3),
-                   par(rng, "fc_out", 6, 6), par(rng, "b_out", 6))
-
-
-def transition_case(forward, make):
-    def case(rng):
-        p = make(rng, 4, 6, dtype=F32)
-        out, _, back = forward(arr(rng, 2, 4, 4, 4), p)
-        return out, [back(arr(rng, *out.shape))], p.params()
-    return case
-
-
-DTYPE_CASES = {
-    "linear": lambda r: op_case(r, T.linear, arr(r, 2, 3, 4), par(r, "w", 5, 4), par(r, "b", 5)),
-    "gelu": lambda r: op_case(r, T.gelu, arr(r, 2, 3, 4)),
-    "sigmoid": lambda r: op_case(r, T.sigmoid, arr(r, 2, 3, 4)),
-    "softmax": lambda r: op_case(r, T.softmax, arr(r, 2, 3, 4)),
-    "cosine_sim": lambda r: op_case(r, T.cosine_sim, arr(r, 2, 3, 4), arr(r, 2, 5, 4)),
-    "layer_norm": lambda r: op_case(r, T.layer_norm, arr(r, 2, 3, 4), par(r, "g", 4), par(r, "b", 4)),
-    "dwconv2d": lambda r: op_case(r, T.dwconv2d, arr(r, 2, 4, 4, 3), par(r, "k", 3, 3, 3)),
-    "adaptive_avg_pool2d": lambda r: op_case(r, T.adaptive_avg_pool2d, arr(r, 2, 4, 4, 3), 2, 2),
-    "patch_embed": lambda r: op_case(r, pfe.patch_embed, arr(r, 2, 8, 8, 3), pfe.make_grid(8, 8),
-                                     par(r, "w", 6, 4, 4, 5), par(r, "b", 6)),
-    "mlp2": lambda r: op_case(r, T.mlp2, arr(r, 2, 3, 4), mlp(r, 4, 6, 5)),
-    "ffn": lambda r: op_case(r, T.ffn, arr(r, 2, 4, 4, 3), par(r, "w1", 6, 3), par(r, "b1", 6),
-                             par(r, "dw", 3, 3, 6), par(r, "w2", 3, 6), par(r, "b2", 3)),
-    "pos_residual": lambda r: op_case(r, pfe.pos_residual, arr(r, 2, 4, 4, 3), par(r, "k", 3, 3, 3)),
-    "init_centers": lambda r: op_case(r, gfc.init_centers, arr(r, 2, 4, 4, 3), 2, 2),
-    "soft_aggregate_cosine": lambda r: op_case(r, gfc.soft_aggregate, arr(r, 2, 2, 4, 3),
-                                               arr(r, 2, 2, 9, 3), arr(r, 2, 2, 9, 3),
-                                               T.Parameter("tau_raw", F32(0.5))),
-    "soft_aggregate_dot": lambda r: op_case(r, gfc.soft_aggregate, arr(r, 2, 2, 4, 3),
-                                            arr(r, 2, 2, 9, 3), arr(r, 2, 2, 9, 3), None),
-    "gated_fuse": lambda r: op_case(r, gfc.gated_fuse, arr(r, 2, 4, 3), arr(r, 2, 4, 3), mlp(r, 6, 3, 1)),
-    "project_queries": lambda r: op_case(r, gfc.project_queries, arr(r, 2, 4, 6), par(r, "w_q", 6, 6), 2),
-    "compute_assignment": lambda r: op_case(r, gfc.compute_assignment, arr(r, 2, 2, 9, 3),
-                                            arr(r, 2, 2, 4, 3), 1.5, -0.2),
-    "dispatch": dispatch_case,
-    "gfc_block_owner": gfc_case(owns=True),
-    "gfc_block_consumer": gfc_case(owns=False),
-    "gfc_block_owner_fa_off": gfc_case(True, gfc.BlockFlags(fa=False)),
-    "gfc_block_consumer_fa_off": gfc_case(False, gfc.BlockFlags(fa=False)),
-    "gfc_block_owner_tcos_off": gfc_case(True, gfc.BlockFlags(tcos=False)),
-    "gfc_block_consumer_tcos_off": gfc_case(False, gfc.BlockFlags(tcos=False)),
-    "linear_transition": transition_case(icp.linear_transition_forward, icp.make_linear_transition),
-    # Only the forward promotes now: _pool_means divides float32 sums by int64
-    # counts, so the pooled means and the output are float64, while dx is cast
-    # back to x's dtype (test_icp_input_gradient_keeps_x_dtype). The one-line
-    # forward fix (counts in the vectors' dtype) moves the network's
-    # float32-vs-float64 stage errors past the benchmark output check's
-    # F64_RTOL bound, mostly through float32 accumulation in linear, so it
-    # waits for that bound to be re-derived.
-    "icp": pytest.param(transition_case(icp.icp_forward, icp.make_icp_params),
-                        marks=pytest.mark.xfail(strict=True, reason="_pool_means promotes the output to float64")),
-}
-
-
-@pytest.mark.parametrize("case", DTYPE_CASES.values(), ids=DTYPE_CASES.keys())
-def test_float32_is_kept(case):
-    out, grads, params = case(np.random.default_rng(0))
     assert out.dtype == F32
     for g in grads:
         assert g.dtype == F32
-    for q in params:
+    for q in params(operands):
         assert q.grad is not None and q.grad.dtype == F32, q.name
 
 
@@ -150,7 +62,7 @@ def test_icp_input_gradient_keeps_x_dtype(dtype):
 
 def test_gfc_batch_equals_single_images():
     rng = np.random.default_rng(1)
-    owner, consumer = live_block(rng, dtype=F64), live_block(rng, owns=False, dtype=F64)
+    owner, consumer = block(rng, F64), block(rng, F64, owns=False)
     x = arr(rng, 3, 4, 4, 8, dtype=F64)
 
     def run(xb):

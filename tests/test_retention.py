@@ -14,16 +14,10 @@ import numpy as np
 import pytest
 
 from closures import closure_arrays
-from cluenet import gfc, icp, pfe
+from cluenet import gfc, icp
 from cluenet import tensor as T
 from cluenet.errors import ConfigError
-
-F64 = np.float64
-
-
-def param(name, value):
-    return T.Parameter(name, np.asarray(value, dtype=F64))
-
+from ops import F64, OPS, block, build, output, param
 
 def shapes(arrays):
     return sorted(a.shape for a in arrays)
@@ -60,7 +54,7 @@ def test_weight_gradient_input_is_held_in_the_parameters_dtype(op, xdtype, pdtyp
     reads; with matching dtypes the input itself is held. Sizes tell the
     input from the weight a linear holds."""
     x = np.random.default_rng(11).normal(size=(2, 4, 6, 5)).astype(xdtype)
-    p = T.Parameter("p", np.ones((3, 5) if op == "linear" else (3, 3, 5), pdtype))
+    p = param("p", np.ones((3, 5) if op == "linear" else (3, 3, 5)), pdtype)
     _, back = getattr(T, op)(x, p)
     held = [a for a in closure_arrays(back) if a.size == x.size]
     assert len(held) == 1 and held[0].dtype == pdtype
@@ -77,7 +71,7 @@ DWCONV_BACKWARD_PEAK = 2_400_000
 def test_dwconv_backward_frees_the_kernel_taps_before_padding_dy():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 7, 7, 1024))
-    _, back = T.dwconv2d(x, T.Parameter("k", rng.normal(size=(3, 3, 1024)).astype(np.float32)))
+    _, back = T.dwconv2d(x, param("k", rng.normal(size=(3, 3, 1024)), np.float32))
     dy = rng.normal(size=x.shape)
     tracemalloc.start()
     try:
@@ -135,7 +129,7 @@ def test_ffn_holds_its_hidden_map_alone(monkeypatch, xdtype, pdtype):
     """Of the hidden width, T.ffn's backward holds h = linear(x, w1, b1)
     itself, in its own dtype, and nothing rebuilt from it."""
     rng = np.random.default_rng(17)
-    ps = [T.Parameter(n, rng.normal(size=s).astype(pdtype))
+    ps = [param(n, rng.normal(size=s), pdtype)
           for n, s in (("w1", (32, 8)), ("b1", (32,)), ("dw", (3, 3, 32)), ("w2", (8, 32)), ("b2", (8,)))]
     outs, linear = [], T.linear
     monkeypatch.setattr(T, "linear", lambda *a: outs.append(res := linear(*a)) or res)
@@ -146,26 +140,6 @@ def test_ffn_holds_its_hidden_map_alone(monkeypatch, xdtype, pdtype):
     assert hidden[0].dtype == np.result_type(xdtype, pdtype)
 
 
-def _block(rng, owns):
-    return gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), owns_assignment=owns, dtype=F64)
-
-
-def _gfc_owner(x):
-    return gfc.gfc_block_forward(x, _block(np.random.default_rng(4), True))
-
-
-def _gfc_consumer(x):
-    rng = np.random.default_rng(5)
-    _, st, _ = gfc.gfc_block_forward(rng.normal(size=x.shape), _block(rng, True))
-    return gfc.gfc_block_forward(x, _block(rng, False), shared=st.assignment)
-
-
-def _cast(p, dtype):
-    for q in p.params():
-        q.value = q.value.astype(dtype)
-    return p
-
-
 @pytest.mark.parametrize(("xdtype", "pdtype"), [(F64, F64), (F64, np.float32), (np.float32, np.float32)],
                          ids=["float64", "float64_map-float32_params", "float32"])
 @pytest.mark.parametrize("owns", [True, False], ids=["owner", "consumer"])
@@ -174,63 +148,41 @@ def test_block_holds_one_map_of_the_ffn_hidden_width(xdtype, pdtype, owns):
     conv input, GELU's slope and ffn_w2's input are rebuilt from it."""
     rng = np.random.default_rng(16)
     x = rng.normal(size=(2, 3, 3, 8)).astype(xdtype)       # 18 rows, none 32 wide
-    p, shared = _cast(_block(rng, True), pdtype), None
+    p, shared = block(rng, pdtype), None
     if not owns:
         shared = gfc.gfc_block_forward(x, p)[1].assignment
-        p = _cast(_block(rng, False), pdtype)
+        p = block(rng, pdtype, owns=False)
     _, _, back = gfc.gfc_block_forward(x, p, shared)
     hidden = [a for a in closure_arrays(back) if a.shape[-1] == gfc.FFN_EXPANSION * 8]
     # h1 is held by its buffer, linear's (18, 32) GEMM output
     assert [(a.size, a.dtype) for a in hidden] == [(2 * 3 * 3 * 32, np.dtype(xdtype))]
 
 
-RUNS = {
-    "layer_norm": (lambda x: T.layer_norm(x, param("g", np.ones(8)), param("b", np.zeros(8)))),
-    "gelu": T.gelu,
-    "linear_f32_weight": lambda x: T.linear(x, T.Parameter("w", np.ones((3, 8), np.float32))),
-    "gfc_owner": _gfc_owner,
-    "gfc_consumer": _gfc_consumer,
-    "icp": lambda x: icp.icp_forward(x, icp.make_icp_params(np.random.default_rng(6), 8, 8, F64)),
-}
-
-
-@pytest.mark.parametrize("op", sorted(RUNS))
+@pytest.mark.parametrize("op", ["adaptive_avg_pool2d", "cosine_sim", "dispatch", "gelu", "gfc_block_consumer",
+                                "gfc_block_owner", "icp", "init_centers", "layer_norm", "linear_f32_weight",
+                                "linear_transition", "patch_embed", "sigmoid", "softmax"])
 def test_backward_does_not_keep_the_input_alive(op):
     """Once the caller drops the input, only the outputs and the backward
-    remain, and neither refers to it."""
-    x = np.random.default_rng(7).normal(size=(2, 4, 4, 8))
-    ref = weakref.ref(x)
-    *_, back = RUNS[op](x)
-    del x
+    remain, and neither refers to it: these ops' backwards do not read
+    their first operand, and linear's holds a float32 copy of a float64 x."""
+    fn, operands = build(op, np.random.default_rng(7), F64)
+    ref = weakref.ref(next(iter(operands.values())))
+    *_, back = fn(**operands)
+    del operands
     gc.collect()
     assert ref() is None and callable(back)
 
 
-SPENT_RUNS = {   # id: call on a (2, 4, 4, 8) x; the last six return T.chain of their parts' backwards
-    "linear": lambda x: T.linear(x, param("w", np.ones((3, 8)))),
-    "gfc_owner": _gfc_owner,
-    "mlp2": lambda x: T.mlp2(x, T.Mlp2Params(param("w1", np.ones((3, 8))), param("b1", np.zeros(3)),
-                                             param("w2", np.ones((2, 3))), param("b2", np.zeros(2)))),
-    "init_centers": lambda x: gfc.init_centers(x, 2, 2),
-    "project_queries": lambda x: gfc.project_queries(x.reshape(2, 16, 8), param("w_q", np.ones((4, 8))), 2),
-    "linear_transition": lambda x: icp.linear_transition_forward(
-        x, icp.make_linear_transition(np.random.default_rng(15), 8, 6, F64)),
-    "patch_embed": lambda x: pfe.patch_embed(x[..., :3], pfe.make_grid(4, 4, F64),
-                                             param("w", np.ones((6, 4, 4, 5))), param("b", np.zeros(6))),
-    "ffn": lambda x: T.ffn(x, param("w1", np.ones((6, 8))), param("b1", np.zeros(6)),
-                           param("dw", np.ones((3, 3, 6))), param("w2", np.ones((3, 6))), param("b2", np.zeros(3))),
-}
-
-
-@pytest.mark.parametrize("op", SPENT_RUNS)
+@pytest.mark.parametrize("op", OPS)
 def test_a_spent_backward_holds_nothing_and_refuses_a_second_call(op):
-    x = np.random.default_rng(14).normal(size=(2, 4, 4, 8))
-    y, *_, back = SPENT_RUNS[op](x)
+    fn, operands = build(op, np.random.default_rng(14), F64)
+    res = fn(**operands)
+    dy, back = np.ones_like(output(res)), res[-1]
     assert closure_arrays(back)
-    back(np.ones_like(y))
+    back(dy)
     assert closure_arrays(back) == []
     with pytest.raises(ConfigError, match="runs once"):
-        back(np.ones_like(y))
+        back(dy)
 
 
 def test_chain_runs_its_backwards_from_last_to_first_and_once():

@@ -6,21 +6,15 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cluenet import gfc, icp, pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check, wave
-
-F64 = np.float64
+from ops import F64, OPS, build, param
 
 # Frozen oracle constants (computed with mpmath at 30 digits).
 GELU_2 = 1.9544997361036415856          # 0.5*2*(1+erf(2/sqrt(2)))
 SOFTMAX_1_0 = (0.7310585786300049, 0.2689414213699951)
 INV_SQRT2 = 0.7071067811865475
-
-
-def param(name, value):
-    return T.Parameter(name, np.asarray(value, dtype=F64))
 
 
 # ---------------------------------------------------------------------------
@@ -557,27 +551,11 @@ def test_trunc_normal_bounds_and_determinism():
     assert a.std() > 0.01
 
 
-MAP_OPS = {
-    "dwconv2d": lambda x: T.dwconv2d(x, param("k", np.zeros((3, 3, 4)))),
-    "ffn": lambda x: T.ffn(x, param("w1", np.zeros((8, 4))), param("b1", np.zeros(8)),
-                           param("dw", np.zeros((3, 3, 8))), param("w2", np.zeros((4, 8))),
-                           param("b2", np.zeros(4))),
-    "adaptive_avg_pool2d": lambda x: T.adaptive_avg_pool2d(x, 2, 2),
-    "patch_embed": lambda x: pfe.patch_embed(x[..., :3], pfe.make_grid(4, 4, dtype=F64),
-                                             param("w", np.zeros((2, 4, 4, 5))),
-                                             param("b", np.zeros(2))),
-    "gfc_block_forward": lambda x: gfc.gfc_block_forward(
-        x, gfc.make_gfc_params(np.random.default_rng(0), 4, 4, 1, (2, 2), dtype=F64)),
-    "icp_forward": lambda x: icp.icp_forward(
-        x, icp.make_icp_params(np.random.default_rng(0), 4, 4, dtype=F64)),
-    "linear_transition_forward": lambda x: icp.linear_transition_forward(
-        x, icp.make_linear_transition(np.random.default_rng(0), 4, 4, dtype=F64)),
-}
-
-
-@pytest.mark.parametrize("op", sorted(MAP_OPS))
+@pytest.mark.parametrize("op", ["adaptive_avg_pool2d", "dwconv2d", "ffn", "gfc_block_owner", "icp", "init_centers",
+                                "linear_transition", "patch_embed", "pos_residual"], ids=lambda op: OPS[op].fn.__name__)
 def test_map_ops_require_batch_axis(op):
-    x = np.random.default_rng(22).normal(size=(1, 4, 4, 4))
-    MAP_OPS[op](x)
+    fn, operands = build(op, np.random.default_rng(22), F64)
+    fn(**operands)
+    x = next(iter(operands))
     with pytest.raises(DimensionError, match=r"\(B, H, W, C\)"):
-        MAP_OPS[op](x[0])
+        fn(**{**operands, x: operands[x][0]})

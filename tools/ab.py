@@ -9,9 +9,13 @@ subprocess, one run at a time. Pair i uses seed ``--seed0 + i``; the side
 that runs first alternates from pair to pair. The summary goes to
 ``BENCH_<workload>.json`` at the repository root: the two commits, the
 pair count, and per metric both sides' median and quartiles, the
-change/parent ratio of every pair and a two-sided sign-test verdict
-(better, worse or unresolved at ``ALPHA``). A ``--trace 1`` run adds the
-per-layer metrics under ``layers`` to the file of the same two commits.
+change/parent ratio of every pair, the two-sided sign test's ``p`` and its
+Holm adjustment ``p_holm`` over the metrics summarised together (one
+workload's metrics), and a verdict (better, worse or unresolved at
+``ALPHA``) taken on ``p_holm``, so that one run's many tests do not read a
+chance move as a result. A ``--trace 1`` run adds the per-layer metrics
+under ``layers`` to the file of the same two commits; its family is every
+metric of that run, end to end and per layer.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import tempfile
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-#: sign-test level: 9 of 10 pairs moving the same way gives p = 0.021
+#: family-wise level of the verdicts: 9 of 10 pairs moving the same way gives
+#: p = 0.021, which decides one metric alone but not one of three or more
 ALPHA = 0.05
 
 
@@ -40,6 +45,16 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail)
 
 
+def holm(ps: dict[str, float]) -> dict[str, float]:
+    """Holm's step-down adjustment of the family ``ps`` (name: p): the i-th
+    smallest p times (k - i + 1), kept monotone and at most 1."""
+    out, running = {}, 0.0
+    for i, (name, p) in enumerate(sorted(ps.items(), key=lambda kv: kv[1])):
+        running = max(running, min(1.0, (len(ps) - i) * p))
+        out[name] = running
+    return out
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
@@ -49,7 +64,8 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per-metric summary of ``pairs``, each ``{"seed", "parent", "change"}``
     with the two sides' ``{metric: value}``; ``better`` maps a metric to
     "higher" or "lower". Only metrics that both sides report in every pair
-    and that ``better`` names are summarised; with no pairs, none is."""
+    and that ``better`` names are summarised; with no pairs, none is. The
+    verdicts are taken on ``p_holm``, over the metrics summarised here."""
     names = [m for m in better if pairs and all(m in p["parent"] and m in p["change"] for p in pairs)]
     out = {}
     for m in names:
@@ -58,13 +74,15 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1.0 if better[m] == "higher" else -1.0
         wins = sum(sign * (c - a) > 0 for a, c in zip(par, chg))
         losses = sum(sign * (c - a) < 0 for a, c in zip(par, chg))
-        p = sign_test_p(wins, losses)
-        verdict = "unresolved" if p > ALPHA else ("better" if wins > losses else "worse")
         a, c = quartiles(par), quartiles(chg)
         out[m] = {"better": better[m], "parent": a, "change": c,
                   "ratios": [c_ / a_ if a_ else None for a_, c_ in zip(par, chg)],
-                  "wins": wins, "losses": losses, "p": p, "verdict": verdict,
+                  "wins": wins, "losses": losses, "p": sign_test_p(wins, losses),
                   "median_shift_exceeds_parent_iqr": abs(c["median"] - a["median"]) > a["q3"] - a["q1"]}
+    for m, p_holm in holm({m: s["p"] for m, s in out.items()}).items():
+        s = out[m]
+        s["p_holm"] = p_holm
+        s["verdict"] = "unresolved" if p_holm > ALPHA else ("better" if s["wins"] > s["losses"] else "worse")
     return out
 
 
