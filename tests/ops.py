@@ -42,7 +42,7 @@ def mlp(d, d_in, d_hidden, d_out):
     return T.Mlp2Params(d.p("w1", d_hidden, d_in), d.p("b1", d_hidden), d.p("w2", d_out, d_hidden), d.p("b2", d_out))
 
 
-def block(rng, dtype=F32, owns=True, flags=gfc.BlockFlags()):
+def block(rng, dtype, owns=True, flags=gfc.BlockFlags()):
     """A width-8, 2-head block whose residual branches are not zero, so it is
     not the identity."""
     p = gfc.make_gfc_params(rng, 8, 8, 2, (2, 2), flags, owns, dtype=dtype)

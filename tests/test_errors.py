@@ -1,7 +1,8 @@
 """The package raises only its own error classes (errors.py), never a
 builtin exception class such as ValueError or FloatingPointError; and
 every top-level name it defines is read somewhere, since code that
-nothing calls is deleted."""
+nothing calls is deleted; and every public op has a row in the op
+catalogue (ops.py), whose operands of any rank it rejects with a typed error."""
 
 import ast
 import builtins

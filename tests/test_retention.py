@@ -19,6 +19,7 @@ from cluenet import tensor as T
 from cluenet.errors import ConfigError
 from ops import F64, OPS, block, build, output, param
 
+
 def shapes(arrays):
     return sorted(a.shape for a in arrays)
 

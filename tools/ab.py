@@ -32,7 +32,7 @@ import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: family-wise level of the verdicts: 9 of 10 pairs moving the same way gives
-#: p = 0.021, which decides one metric alone but not one of three or more
+#: p = 0.021, enough for a metric summarised alone, not for the smallest p of three
 ALPHA = 0.05
 
 
