@@ -35,7 +35,7 @@ class Draw:
         return self.rng.normal(size=shape).astype(dtype or self.dtype)
 
     def p(self, name, *shape, dtype=None):
-        return T.Parameter(name, self(*shape, dtype=dtype))
+        return param(name, self(*shape, dtype=dtype), dtype or self.dtype)
 
 
 def mlp(d, d_in, d_hidden, d_out):
@@ -93,12 +93,9 @@ OPS = {   # id: Op; an op's first row is the op itself, later rows are its varia
     "dispatch": Op(gfc.dispatch, lambda d: {   # B=2, 2 heads of width 3 over m=4 centers and n=5 pixels, d=6
         "p": d(2, 5, 6), "assign": gfc.HardAssignment(d.rng.integers(0, 4, (2, 2, 5)).astype(np.int32), d(2, 2, 5), 4),
         "centers_h": d(2, 2, 4, 3), "fc_out": d.p("fc_out", 6, 6), "b_out": d.p("b_out", 6)}),
-    "gfc_block_owner": block_op(owns=True),
-    "gfc_block_consumer": block_op(owns=False),
-    "gfc_block_owner_fa_off": block_op(True, gfc.BlockFlags(fa=False)),
-    "gfc_block_consumer_fa_off": block_op(False, gfc.BlockFlags(fa=False)),
-    "gfc_block_owner_tcos_off": block_op(True, gfc.BlockFlags(tcos=False)),
-    "gfc_block_consumer_tcos_off": block_op(False, gfc.BlockFlags(tcos=False)),
+    **{f"gfc_block_{role}{off}": block_op(role == "owner", flags) for off, flags in (
+        ("", gfc.BlockFlags()), ("_fa_off", gfc.BlockFlags(fa=False)), ("_tcos_off", gfc.BlockFlags(tcos=False)))
+       for role in ("owner", "consumer")},
     "linear_transition": Op(icp.linear_transition_forward,
                             lambda d: {"x": d(2, 4, 4, 4), "p": icp.make_linear_transition(d.rng, 4, 6, d.dtype)}),
     "icp": Op(icp.icp_forward, lambda d: {"x": d(2, 4, 4, 4), "p": icp.make_icp_params(d.rng, 4, 6, d.dtype)}),

@@ -45,17 +45,21 @@ def test_nine_of_ten_pairs_decide_the_verdict_by_the_metrics_direction(ab, bette
 
 
 def test_one_of_six_metrics_winning_nine_pairs_is_unresolved(ab):
-    """The verdict is family-wise: Holm over the six metrics of one call puts
-    the lone 9-of-10 metric's p = 0.021 at 6 * 0.021 > ALPHA."""
-    names = ["step_ms_p50", "step_ms_tail", "images_per_s", "setup_s", "peak_rss_mb", "ok_rate"]
+    """The verdict is family-wise: Holm over the six metrics of one call that
+    move puts the lone 9-of-10 metric's p = 0.021 at 6 * 0.021 > ALPHA; a
+    seventh metric tied in every pair does not widen the family."""
+    names = ["step_ms_p50", "step_ms_tail", "images_per_s", "setup_s", "peak_rss_mb", "train_ms", "ok_rate"]
     parent = [100.0 + i for i in range(10)]
     change = [a - 5.0 for a in parent[:9]] + [parent[9] + 1.0]
-    pairs = [{"seed": i, "parent": {m: a for m in names}, "change": {m: c if m == names[0] else a for m in names}}
+    moved = {m: [a + (-1) ** i for i, a in enumerate(parent)] for m in names[1:6]}    # 5 wins, 5 losses
+    pairs = [{"seed": i, "parent": {m: a for m in names},
+              "change": {"step_ms_p50": c, "ok_rate": a, **{m: v[i] for m, v in moved.items()}}}
              for i, (a, c) in enumerate(zip(parent, change))]
     out = ab.summarise(pairs, {m: "lower" for m in names})
     s = out["step_ms_p50"]
     assert (s["wins"], s["losses"]) == (9, 1) and s["p"] < ab.ALPHA
     assert s["p_holm"] == pytest.approx(6 * s["p"]) and s["verdict"] == "unresolved"
+    assert out["ok_rate"]["p"] == out["ok_rate"]["p_holm"] == 1.0
     assert {o["verdict"] for o in out.values()} == {"unresolved"}
 
 

@@ -177,21 +177,24 @@ def test_every_public_op_has_a_catalogue_row():
 
 
 def rank_cases() -> dict:
-    """id: call given an array ``a`` of the rank under test. A case puts ``a``
-    in place of one array or Parameter operand of an op, or of all its two or
+    """id: call given the rank under test. A case puts ones of that rank in
+    place of one array or Parameter operand of an op, or of all its two or
     more array operands; the first row of an op that has those operands
-    supplies the case, whose id is "<op> <operands>". Three cases keep the
-    shorter ids they had before the catalogue. split_heads and merge_heads
-    return no backward, so they have no row and are cases of their own."""
+    supplies the case, whose id is "<op> <operands>". Only the rank varies:
+    the ones keep the (first) replaced operand's last axes, led by axes 2
+    wide. Three cases keep their ids from before the catalogue. split_heads
+    and merge_heads return no backward, so they are cases of their own."""
     def call(op, names):
-        def run(a):
+        def run(rank):
             fn, operands = build(op, np.random.default_rng(0), F64)
+            a = np.ones(((2,) * rank + operands[names[0]].shape)[len(operands[names[0]].shape):])
             return fn(**{**operands, **{k: T.Parameter(k, a) if isinstance(operands[k], T.Parameter) else a
                                         for k in names}})
         return run
     kept = {("init_centers", "p_map"): "init_centers", ("project_queries", "centers"): "project_queries",
             ("soft_aggregate_dot", "c_s and p_s and p_v"): "soft_aggregate dot product"}
-    cases = {"split_heads": lambda a: gfc.split_heads(a, 2), "merge_heads": gfc.merge_heads}
+    cases = {"split_heads": lambda r: gfc.split_heads(np.ones((2,) * r), 2),
+             "merge_heads": lambda r: gfc.merge_heads(np.ones((2,) * r))}
     for op in OPS:
         fn, operands = build(op, np.random.default_rng(0), F64)
         arrays = [k for k, v in operands.items() if isinstance(v, np.ndarray)]
@@ -211,6 +214,14 @@ def test_an_operand_of_any_rank_raises_only_typed_errors(case, rank):
     """An operand of the wrong rank is rejected with an errors.py class, not
     an IndexError, AxisError or TypeError from inside numpy."""
     try:
-        RANK_CASES[case](np.ones((2,) * rank))
+        RANK_CASES[case](rank)
     except CluenetError:
         pass
+
+
+@pytest.mark.parametrize(("case", "rank"), [
+    ("linear x", 1), ("linear x", 5), ("linear w", 2), ("mlp2 x", 3), ("ffn x", 4), ("ffn w2", 2),
+    ("project_queries", 3), ("gated_fuse c_v and c_agg", 3), ("soft_aggregate p_s", 4), ("patch_embed weight", 4)])
+def test_a_rank_case_at_a_rank_its_op_accepts_runs_the_forward(case, rank):
+    """The ones keep the operand's last axes, so they pass its width checks."""
+    assert callable(RANK_CASES[case](rank)[-1])

@@ -11,7 +11,7 @@ that runs first alternates from pair to pair. The summary goes to
 pair count, and per metric both sides' median and quartiles, the
 change/parent ratio of every pair, the two-sided sign test's ``p`` and its
 Holm adjustment ``p_holm`` over the metrics summarised together (one
-workload's metrics), and a verdict (better, worse or unresolved at
+workload's metrics, less any tied in every pair), and a verdict (better, worse or unresolved at
 ``ALPHA``) taken on ``p_holm``, so that one run's many tests do not read a
 chance move as a result. A ``--trace 1`` run adds the per-layer metrics
 under ``layers`` to the file of the same two commits; its family is every
@@ -65,7 +65,9 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     with the two sides' ``{metric: value}``; ``better`` maps a metric to
     "higher" or "lower". Only metrics that both sides report in every pair
     and that ``better`` names are summarised; with no pairs, none is. The
-    verdicts are taken on ``p_holm``, over the metrics summarised here."""
+    verdicts are taken on ``p_holm``, over the metrics summarised here that
+    moved in at least one pair: a metric tied in every pair (p = 1) cannot
+    be decided, so it does not widen the family."""
     names = [m for m in better if pairs and all(m in p["parent"] and m in p["change"] for p in pairs)]
     out = {}
     for m in names:
@@ -79,10 +81,10 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
                   "ratios": [c_ / a_ if a_ else None for a_, c_ in zip(par, chg)],
                   "wins": wins, "losses": losses, "p": sign_test_p(wins, losses),
                   "median_shift_exceeds_parent_iqr": abs(c["median"] - a["median"]) > a["q3"] - a["q1"]}
-    for m, p_holm in holm({m: s["p"] for m, s in out.items()}).items():
-        s = out[m]
-        s["p_holm"] = p_holm
-        s["verdict"] = "unresolved" if p_holm > ALPHA else ("better" if s["wins"] > s["losses"] else "worse")
+    adjusted = holm({m: s["p"] for m, s in out.items() if s["wins"] + s["losses"]})
+    for m, s in out.items():
+        s["p_holm"] = adjusted.get(m, s["p"])
+        s["verdict"] = "unresolved" if s["p_holm"] > ALPHA else ("better" if s["wins"] > s["losses"] else "worse")
     return out
 
 
