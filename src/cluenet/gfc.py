@@ -52,8 +52,8 @@ def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     if x.ndim < 2:
         raise DimensionError(f"split_heads: expected (..., n, d') rows, got shape {x.shape}")
     *lead, n, dp = x.shape
-    if heads < 1 or dp % heads:
-        raise ConfigError(f"channel width {dp} not divisible by {heads} heads")
+    if not isinstance(heads, (int, np.integer)) or heads < 1 or dp % heads:
+        raise ConfigError(f"channel width {dp} not divisible by {heads} heads, a positive integer")
     return np.moveaxis(x.reshape(*lead, n, heads, dp // heads), -2, -3)
 
 

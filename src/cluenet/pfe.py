@@ -29,8 +29,8 @@ def make_grid(h: int, w: int, dtype=T.F32) -> np.ndarray:
     versa; this matches the published formula verbatim, and the two are
     interchangeable on the square inputs used here.
     """
-    if h < 1 or w < 1:
-        raise DimensionError(f"make_grid: extents must be positive, got ({h},{w})")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (h, w)):
+        raise DimensionError(f"make_grid: extents must be positive integers, got ({h},{w})")
     grid = np.empty((h, w, 2), dtype=np.float64)
     grid[..., 0] = (np.arange(h, dtype=np.float64) / w - 0.5)[:, None]
     grid[..., 1] = (np.arange(w, dtype=np.float64) / h - 0.5)[None, :]

@@ -302,6 +302,8 @@ def _pool_matrix(size_in: int, size_out: int, dtype) -> np.ndarray:
 def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
     """Mean-pool (B, H, W, C) onto an h x w grid whose windows tile the input."""
     b, hh, ww, c = map_shape(x, "adaptive_avg_pool2d")
+    if not all(isinstance(n, (int, np.integer)) for n in (h, w)):
+        raise DimensionError(f"adaptive_avg_pool2d: target ({h},{w}) must be integers")
     if not (1 <= h <= hh and 1 <= w <= ww):
         raise DimensionError(f"adaptive_avg_pool2d: target ({h},{w}) exceeds source ({hh},{ww})")
     ph, pw = _pool_matrix(hh, h, x.dtype), _pool_matrix(ww, w, x.dtype)

@@ -1,9 +1,21 @@
-"""Central finite differences: the ground truth for every hand-written backward."""
+"""Central finite differences: the ground truth for every hand-written backward.
+
+``test_properties.py:test_backward_matches_finite_differences`` runs
+``grad_check`` over the op catalogue (``ops.py``), so every op gets a check
+at 1e-7 (1e-6 for patch_embed and gated_fuse) without a test of its own.
+Its ``GRADIENTS`` map names, per row, the operands whose gradients the
+backward returns where that is not the first operand alone. Tests in
+the op modules keep what the catalogue's draw does not reach: blocks,
+clamped temperatures, oracles.
+"""
 
 import numpy as np
 
+#: the central-difference step; the truncation error it leaves is O(STEP**2).
+STEP = 1e-5
 
-def grad_check(run, inputs, weight, params=(), step=1e-5, tol=1e-7):
+
+def grad_check(run, inputs, weight, params=(), tol=1e-7):
     """Compare ``run``'s backward with central differences of sum(out * weight).
 
     ``run(*inputs)`` returns a tuple whose first item is the output and whose
@@ -11,7 +23,7 @@ def grad_check(run, inputs, weight, params=(), step=1e-5, tol=1e-7):
     gradient per input: an array, a tuple of them, or a float for a
     1-element input. Gradients of ``params`` are read from ``p.grad``, which
     is reset once before and left holding the analytic gradient after. Every
-    coordinate of every input and parameter value is moved by +-step in
+    coordinate of every input and parameter value is moved by +-STEP in
     place, and each moved loss runs the forward only. Everything must be
     float64. The relative error has a 1e-6 floor on its denominator, so
     exactly-zero gradients compare by absolute difference. Returns the
@@ -47,13 +59,13 @@ def grad_check(run, inputs, weight, params=(), step=1e-5, tol=1e-7):
         assert np.all(np.isfinite(g)), f"non-finite analytic gradient of {name}"
         for j in range(a.size):
             orig = a.flat[j]
-            a.flat[j] = orig + step
+            a.flat[j] = orig + STEP
             lp = loss(run(*inputs))
-            a.flat[j] = orig - step
+            a.flat[j] = orig - STEP
             lm = loss(run(*inputs))
             a.flat[j] = orig
             assert np.isfinite(lp + lm), f"non-finite loss while moving {where(name, a, j)}"
-            fd = (lp - lm) / (2.0 * step)
+            fd = (lp - lm) / (2.0 * STEP)
             rel = abs(g.flat[j] - fd) / max(abs(g.flat[j]), abs(fd), 1e-6)
             if rel > worst:
                 worst, at = rel, where(name, a, j)

@@ -1,11 +1,23 @@
 """The op catalogue: one row per public op and variant, which the op-wide
-properties (float32 kept, a backward runs once, typed errors on operands
-of any rank, the batch axis, what a backward keeps alive) all run over.
+properties (the backward matches finite differences, float32 kept, a
+backward runs once, typed errors on operands of any rank, the batch axis,
+what a backward keeps alive) all run over.
 
 A row is ``Op(fn, operands)``: ``operands(draw)`` returns fresh keyword
 operands for ``fn``, drawn in ``draw.dtype``. A new public op adds one row;
 ``test_errors.py:test_every_public_op_has_a_catalogue_row`` fails until it
 has one.
+
+``test_properties.py:test_backward_matches_finite_differences`` runs
+``fd.grad_check`` on every row, drawn in float64, but ``linear_f32_weight``
+and the width-8 blocks (about 1,550 coordinates each; ``test_gfc.py``
+checks width-4 blocks). It moves every Parameter and the operands whose
+gradients the backward returns: the first operand, unless the property's
+``GRADIENTS`` map names them in the backward's return order (cosine_sim:
+a, b; soft_aggregate: c_s, p_s, p_v; gated_fuse: c_v, c_agg;
+compute_assignment: p_s, q, alpha, beta; dispatch: p, assign.weights,
+centers_h). A row whose backward returns more gradients fails grad_check's
+"N gradients for M inputs" assertion until it is named there.
 """
 
 from typing import Callable, NamedTuple
@@ -74,7 +86,7 @@ OPS = {   # id: Op; an op's first row is the op itself, later rows are its varia
     "cosine_sim": Op(T.cosine_sim, lambda d: {"a": d(2, 3, 4), "b": d(2, 5, 4)}),
     "layer_norm": Op(T.layer_norm, lambda d: {"x": d(2, 3, 4), "gamma": d.p("g", 4), "beta": d.p("b", 4)}),
     "dwconv2d": Op(T.dwconv2d, lambda d: {"x": d(2, 4, 4, 3), "kernel": d.p("k", 3, 3, 3)}),
-    "adaptive_avg_pool2d": Op(T.adaptive_avg_pool2d, lambda d: {"x": d(2, 4, 4, 3), "h": 2, "w": 2}),
+    "adaptive_avg_pool2d": Op(T.adaptive_avg_pool2d, lambda d: {"x": d(2, 5, 7, 3), "h": 2, "w": 3}),  # uneven
     "patch_embed": Op(pfe.patch_embed, lambda d: {"img": d(2, 8, 8, 3), "grid": pfe.make_grid(8, 8, d.dtype),
                                                   "weight": d.p("w", 6, 4, 4, 5), "bias": d.p("b", 6)}),
     "mlp2": Op(T.mlp2, lambda d: {"x": d(2, 3, 4), "p": mlp(d, 4, 6, 5)}),

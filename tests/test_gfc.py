@@ -99,18 +99,6 @@ def test_aggregate_rows_sum_to_one():
         assert np.all(s_c > 0)
 
 
-def test_aggregate_grad_matches_fd():
-    """The chain rule through exp is the op's own: tau_raw is checked as a parameter."""
-    rng = np.random.default_rng(4)
-    tau_raw = param("tau_raw", math.log(0.7))
-    w = rng.normal(size=(3, 4))
-    inputs = [rng.normal(size=(3, 4)) + 1.0, rng.normal(size=(6, 4)) - 1.0,
-              rng.normal(size=(6, 4))]
-    grad_check(lambda c, p, v: gfc.soft_aggregate(c, p, v, tau_raw),
-               inputs, w, params=[tau_raw], tol=1e-6)
-    assert tau_raw.grad is not None
-
-
 def test_aggregate_clamped_temperature_gets_no_gradient():
     """Below TAU_MIN the temperature is the constant TAU_MIN: tau_raw gets no
     gradient, in agreement with finite differences, and every input does."""
@@ -122,13 +110,6 @@ def test_aggregate_clamped_temperature_gets_no_gradient():
     grad_check(run, inputs, w, params=[tau_raw], tol=1e-4)   # tau = 0.01 sharpens the softmax
     assert tau_raw.grad is None
     assert all(np.any(g) for g in run(*inputs)[-1](w))
-
-
-def test_aggregate_dot_grad_matches_fd():
-    rng = np.random.default_rng(5)
-    w = rng.normal(size=(2, 4))
-    inputs = [rng.normal(size=(2, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 4))]
-    grad_check(lambda c, p, v: gfc.soft_aggregate(c, p, v, None), inputs, w, tol=1e-6)
 
 
 @pytest.mark.parametrize("c_shape, p_shape, v_shape, cosine", [
@@ -254,17 +235,6 @@ def test_fuse_output_between_operands():
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
-def test_fuse_grad_matches_fd():
-    rng = np.random.default_rng(13)
-    gate = _zero_gate(3)
-    for q in gate.params():
-        q.value = rng.normal(size=q.value.shape)
-    w = rng.normal(size=(4, 3))
-    grad_check(lambda cv, ca: gfc.gated_fuse(cv, ca, gate),
-               [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))], w,
-               params=gate.params(), tol=1e-6)
-
-
 def test_fuse_rejects_operands_of_different_shapes():
     with pytest.raises(DimensionError, match="gated_fuse: operand shapes differ"):
         gfc.gated_fuse(np.zeros((4, 3)), np.zeros((5, 3)), _zero_gate(3))
@@ -341,20 +311,6 @@ def test_assignment_scale_invariance():
     np.testing.assert_allclose(a0.weights, a1.weights, rtol=1e-10)
 
 
-def assignment_weights(p_s, q, alpha, beta):
-    """compute_assignment with the kept weights as its output."""
-    assign, back = gfc.compute_assignment(p_s, q, float(alpha[0]), float(beta[0]))
-    return assign.weights, back
-
-
-def test_assignment_grad_matches_fd():
-    rng = np.random.default_rng(19)
-    w = rng.normal(size=6)
-    inputs = [rng.normal(size=(6, 4)) + 0.5, rng.normal(size=(3, 4)) - 0.5,
-              np.array([1.1]), np.array([-0.2])]
-    grad_check(assignment_weights, inputs, w, tol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -426,19 +382,6 @@ def test_dispatch_rejects_cols_that_do_not_fit(p_shape, cols_shape, centers_shap
     with pytest.raises(DimensionError, match=r"dispatch: cols .* do not fit pixels"):
         gfc.dispatch(np.zeros(p_shape), assign, np.zeros(centers_shape),
                      param("fc", np.zeros((4, 4))), param("b", np.zeros(4)))
-
-
-def test_dispatch_grad_matches_fd():
-    rng = np.random.default_rng(22)
-    fc = param("fc", rng.normal(size=(3, 4)))
-    b = param("b", rng.normal(size=3))
-    cols = rng.integers(0, 2, size=(1, 2, 5)).astype(np.int32)
-    w = rng.normal(size=(1, 5, 3))
-    p, centers = rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 2, 2, 2))
-    weights = rng.uniform(0.2, 0.8, size=(1, 2, 5))
-    grad_check(lambda p, weights, centers: gfc.dispatch(
-                   p, gfc.HardAssignment(cols, weights, m=2), centers, fc, b),
-               [p, weights, centers], w, params=[fc, b], tol=1e-6)
 
 
 def dispatch_scatter_oracle(cols, d_sel, m, dtype):

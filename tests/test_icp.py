@@ -7,8 +7,7 @@ from cluenet import icp
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
 from fd import grad_check
-
-F64 = np.float64
+from ops import F64
 
 
 def toy_params(rng, d_in=4, d_out=4, scale=10.0):
@@ -238,14 +237,6 @@ def test_well_separated_windows_reduce_to_avg_pool():
 # gradients: the module's reason to exist
 # ---------------------------------------------------------------------------
 
-def test_icp_grad_matches_fd():
-    rng = np.random.default_rng(9)
-    p = toy_params(rng)
-    w = np.random.default_rng(10).normal(size=(1, 2, 2, 4))
-    grad_check(lambda x: icp.icp_forward(x, p), [rng.normal(size=(1, 4, 4, 4))], w,
-               params=p.params(), tol=1e-4)
-
-
 def test_fec_grad_matches_fd_excluding_projf():
     rng = np.random.default_rng(11)
     p = toy_params(rng)
@@ -298,11 +289,3 @@ def test_linear_transition_shapes_and_partition():
     assert out.shape == (1, 4, 4, 6)
     np.testing.assert_array_equal(assign.owner[0], np.arange(16))
     assert assign.m == 16 and assign.grid_hw == (4, 4)
-
-
-def test_linear_transition_grad_matches_fd():
-    rng = np.random.default_rng(16)
-    p = icp.make_linear_transition(rng, 3, 5, dtype=F64)
-    w = np.random.default_rng(17).normal(size=(1, 2, 2, 5))
-    grad_check(lambda x: icp.linear_transition_forward(x, p), [rng.normal(size=(1, 2, 2, 3))], w,
-               params=p.params(), tol=1e-6)

@@ -6,7 +6,6 @@ import pytest
 from cluenet import pfe
 from cluenet import tensor as T
 from cluenet.errors import ConfigError, DimensionError
-from fd import grad_check, wave
 from ops import F64, param
 
 
@@ -142,14 +141,6 @@ def test_embed_rejects_misshapen_operands(bad):
                         param("b", np.zeros(weight[0])))
 
 
-def test_embed_grad_matches_fd():
-    rng = np.random.default_rng(6)
-    w, b = _embed_params(rng, 3)
-    grid = pfe.make_grid(8, 8, dtype=F64)
-    grad_check(lambda img: pfe.patch_embed(img, grid, w, b), [rng.normal(size=(1, 8, 8, 3))],
-               wave((1, 2, 2, 3)), params=[w, b], step=1e-5, tol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # pos_residual
 # ---------------------------------------------------------------------------
@@ -175,10 +166,3 @@ def test_pos_residual_decomposition():
     y, _ = pfe.pos_residual(x, dw)
     conv, _ = T.dwconv2d(x, dw)
     np.testing.assert_allclose(y - x, conv, rtol=1e-12)
-
-
-def test_pos_residual_grad_matches_fd():
-    rng = np.random.default_rng(10)
-    dw = param("dw", rng.normal(size=(3, 3, 2)))
-    grad_check(lambda x: pfe.pos_residual(x, dw), [rng.normal(size=(1, 4, 4, 2))],
-               wave((1, 4, 4, 2), np.sin), params=[dw], tol=1e-6)
