@@ -1,18 +1,12 @@
 """Central finite differences: the ground truth for every hand-written backward.
 
-``test_properties.py:test_backward_matches_finite_differences`` runs
-``grad_check`` over the op catalogue (``ops.py``), so every op gets a check
-at 1e-7 (1e-6 for patch_embed and gated_fuse) without a test of its own.
-Its ``GRADIENTS`` map names, per row, the operands whose gradients the
-backward returns where that is not the first operand alone. Tests in
-the op modules keep what the catalogue's draw does not reach: blocks,
-clamped temperatures, oracles.
-"""
+``test_properties.py:test_backward_matches_finite_differences`` runs ``grad_check``
+over the op catalogue (``ops.py``); its ``GRADIENTS`` map names the operands
+whose gradients a backward returns, where that is not the first operand alone."""
 
 import numpy as np
 
-#: the central-difference step; the truncation error it leaves is O(STEP**2).
-STEP = 1e-5
+STEP = 1e-5     # the central-difference step
 
 
 def grad_check(run, inputs, weight, params=(), tol=1e-7):

@@ -8,16 +8,11 @@ operands for ``fn``, drawn in ``draw.dtype``. A new public op adds one row;
 ``test_errors.py:test_every_public_op_has_a_catalogue_row`` fails until it
 has one.
 
-``test_properties.py:test_backward_matches_finite_differences`` runs
-``fd.grad_check`` on every row, drawn in float64, but ``linear_f32_weight``
-and the width-8 blocks (about 1,550 coordinates each; ``test_gfc.py``
-checks width-4 blocks). It moves every Parameter and the operands whose
-gradients the backward returns: the first operand, unless the property's
-``GRADIENTS`` map names them in the backward's return order (cosine_sim:
-a, b; soft_aggregate: c_s, p_s, p_v; gated_fuse: c_v, c_agg;
-compute_assignment: p_s, q, alpha, beta; dispatch: p, assign.weights,
-centers_h). A row whose backward returns more gradients fails grad_check's
-"N gradients for M inputs" assertion until it is named there.
+The finite-difference property moves every Parameter and the operands
+whose gradients the backward returns: the first, unless
+``test_properties.py:GRADIENTS`` names them (cosine_sim, soft_aggregate,
+gated_fuse, compute_assignment, dispatch). A row whose backward returns
+more fails grad_check until it is named there.
 """
 
 from typing import Callable, NamedTuple

@@ -219,25 +219,24 @@ def test_an_operand_of_any_rank_raises_only_typed_errors(case, rank):
         pass
 
 
-def block_of(heads, grid_hw):
-    """A forward of a block that make_gfc_params builds with ``heads`` and ``grid_hw``."""
+def block_forward(heads, grid_hw):
     p = gfc.make_gfc_params(np.random.default_rng(0), 8, 8, heads, grid_hw, dtype=F64)
-    return lambda: gfc.gfc_block_forward(np.ones((1, 4, 4, 8)), p)
+    return gfc.gfc_block_forward(np.ones((1, 4, 4, 8)), p)
 
 
-NON_INTEGER_SIZES = {
+NON_INTEGER_SIZES = {   # make_gfc_params takes both; the forward passes them to the pool and split_heads
     "adaptive_avg_pool2d": lambda: T.adaptive_avg_pool2d(np.ones((1, 4, 4, 2)), 2.0, 2),
     "init_centers": lambda: gfc.init_centers(np.ones((1, 4, 4, 2)), 2.0, 2),
-    "block grid_hw": block_of(2, (2.0, 2.0)),
+    "block grid_hw": lambda: block_forward(2, (2.0, 2.0)),
     "split_heads": lambda: gfc.split_heads(np.ones((3, 8)), 2.0),
-    "block heads": block_of(2.0, (2, 2)),
+    "block heads": lambda: block_forward(2.0, (2, 2)),
     "make_grid": lambda: pfe.make_grid(2.5, 3),
 }
 
 
 @pytest.mark.parametrize("case", NON_INTEGER_SIZES)
 def test_a_non_integer_size_raises_a_typed_error(case):
-    """Not numpy's TypeError ("'float' object cannot be interpreted as an integer")."""
+    """Not numpy's TypeError: "'float' object cannot be interpreted as an integer"."""
     with pytest.raises(CluenetError, match="integer"):
         NON_INTEGER_SIZES[case]()
 

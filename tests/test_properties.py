@@ -1,5 +1,4 @@
-"""Properties every differentiable path keeps: its backward matches finite
-differences, dtype, and batch independence."""
+"""Properties every differentiable path keeps: gradients that finite differences confirm, dtype, batch independence."""
 
 import dataclasses
 
@@ -15,29 +14,19 @@ from ops import F32, F64, OPS, Draw, block, build, output, params
 # gradients: every backward against central differences
 # ---------------------------------------------------------------------------
 
-# The operands whose gradients a backward returns, in its order, where that
-# is not the first operand alone; "assign.weights" is a field of an operand.
-GRADIENTS = {
-    "cosine_sim": ("a", "b"),
-    "soft_aggregate_cosine": ("c_s", "p_s", "p_v"),
-    "soft_aggregate_dot": ("c_s", "p_s", "p_v"),
-    "gated_fuse": ("c_v", "c_agg"),
-    "compute_assignment": ("p_s", "q", "alpha", "beta"),
-    "dispatch": ("p", "assign.weights", "centers_h"),
-}
-# Two rows measure 5.6e-7 (patch_embed) and 5.3e-7 (gated_fuse) at this draw.
-TOL = {"patch_embed": 1e-6, "gated_fuse": 1e-6}
+# Operands whose gradients a backward returns, in its order, where not the first alone ("assign.weights": a field).
+GRADIENTS = {"cosine_sim": ("a", "b"), "gated_fuse": ("c_v", "c_agg"), "dispatch": ("p", "assign.weights", "centers_h"),
+             "soft_aggregate_cosine": ("c_s", "p_s", "p_v"), "soft_aggregate_dot": ("c_s", "p_s", "p_v"),
+             "compute_assignment": ("p_s", "q", "alpha", "beta")}
+TOL = {"patch_embed": 1e-6, "gated_fuse": 1e-6}     # they measure 5.6e-7 and 5.3e-7 at this draw
 
 
-# Left out: linear_f32_weight, whose float32 weight grad_check refuses, and the
-# width-8 blocks, about 1,550 coordinates and 2-4 s of FD each; test_gfc.py
-# checks width-4 blocks.
+# Not linear_f32_weight, whose float32 weight grad_check refuses, nor the width-8 blocks:
+# about 1,550 coordinates and 1.3 s of FD each; test_gfc.py checks width-4 blocks.
 @pytest.mark.parametrize("op", [op for op in OPS if op != "linear_f32_weight" and not op.startswith("gfc_block")])
 def test_backward_matches_finite_differences(op):
-    """Every Parameter and every returned gradient; alpha and beta, Python
-    floats, are moved as 0-d arrays."""
     fn, operands = build(op, np.random.default_rng(0), F64)
-    operands = {k: np.asarray(v, F64) if isinstance(v, float) else v for k, v in operands.items()}
+    operands = {k: np.asarray(v, F64) if isinstance(v, float) else v for k, v in operands.items()}  # alpha, beta
     paths = [name.partition(".")[::2] for name in GRADIENTS.get(op, [next(iter(operands))])]
 
     def run(*inputs):

@@ -1,5 +1,4 @@
-"""Forward semantics of the primitive layers, and two gradient regimes that the
-op-wide finite-difference property (test_properties.py) does not draw."""
+"""Forward semantics of the primitive layers, and two gradient regimes the op-wide FD property misses."""
 
 import math
 
