@@ -52,7 +52,7 @@ def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     if x.ndim < 2:
         raise DimensionError(f"split_heads: expected (..., n, d') rows, got shape {x.shape}")
     *lead, n, dp = x.shape
-    if not isinstance(heads, (int, np.integer)) or heads < 1 or dp % heads:
+    if not T.is_int(heads) or heads < 1 or dp % heads:
         raise ConfigError(f"channel width {dp} not divisible by {heads} heads, a positive integer")
     return np.moveaxis(x.reshape(*lead, n, heads, dp // heads), -2, -3)
 
@@ -317,8 +317,10 @@ def make_gfc_params(rng: np.random.Generator, d: int, dp: int, heads: int,
     """Initialize one block. Residual output projections (fc_out, ffn_w2)
     and every bias start at zero, which makes the whole block the identity;
     the remaining projections are truncated-normal, std 0.02."""
-    if heads < 1 or dp % heads:
-        raise ConfigError(f"{name}: clustering width {dp} not divisible by {heads} heads")
+    if not T.is_int(heads) or heads < 1 or dp % heads:
+        raise ConfigError(f"{name}: clustering width {dp} not divisible by {heads} heads, a positive integer")
+    if np.shape(grid_hw) != (2,) or not all(T.is_int(n) and n >= 1 for n in grid_hw):
+        raise ConfigError(f"{name}: center grid {grid_hw} is not two positive integers")
 
     tn, zeros, const = T.makers(rng, name, dtype)
     agg = None

@@ -20,6 +20,7 @@ import numpy as np
 from . import container as C
 from .gfc import ClusterState, HardAssignment
 from .icp import PoolAssignment
+from .tensor import is_int
 from .errors import ConfigError, DimensionError, FormatError
 
 
@@ -86,12 +87,8 @@ def _check_fit(trace: TraceBundle, stage: int, error=DimensionError) -> None:
             raise error(f"trace stage {stage}: {name} is not {shape} integers in [0, {below})")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _check_index(name: str, value, size: int) -> None:
-    if not (_is_int(value) and 0 <= value < size):
+    if not (is_int(value) and 0 <= value < size):
         raise ConfigError(f"{name} {value} out of range [0,{size})")
 
 
@@ -155,7 +152,7 @@ def kmeans_merge(centers: np.ndarray, k: int) -> np.ndarray:
         raise ConfigError(f"kmeans_merge: centers must be finite numbers, got {centers.dtype}")
     centers = centers.astype(np.float64, copy=False)
     m = centers.shape[0]
-    if not (_is_int(k) and 1 <= k <= m):
+    if not (is_int(k) and 1 <= k <= m):
         raise ConfigError(f"k must be an integer in [1,{m}], got {k}")
     rng = np.random.default_rng(KMEANS_SEED)
 

@@ -29,7 +29,7 @@ def make_grid(h: int, w: int, dtype=T.F32) -> np.ndarray:
     versa; this matches the published formula verbatim, and the two are
     interchangeable on the square inputs used here.
     """
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (h, w)):
+    if not all(T.is_int(n) and n >= 1 for n in (h, w)):
         raise DimensionError(f"make_grid: extents must be positive integers, got ({h},{w})")
     grid = np.empty((h, w, 2), dtype=np.float64)
     grid[..., 0] = (np.arange(h, dtype=np.float64) / w - 0.5)[:, None]

@@ -40,6 +40,10 @@ COSINE_EPS = 1e-6
 LAYER_NORM_EPS = 1e-5
 
 
+def is_int(v) -> bool:   # a size: numpy refuses a bool, which is an int to isinstance
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def map_shape(x: np.ndarray, where: str, width: int | None = None) -> tuple[int, int, int, int]:
     """(B, H, W, C) of a feature map: the batch axis is required, and C == ``width`` if given."""
     if x.ndim != 4 or width not in (None, x.shape[-1]):
@@ -302,7 +306,7 @@ def _pool_matrix(size_in: int, size_out: int, dtype) -> np.ndarray:
 def adaptive_avg_pool2d(x: np.ndarray, h: int, w: int):
     """Mean-pool (B, H, W, C) onto an h x w grid whose windows tile the input."""
     b, hh, ww, c = map_shape(x, "adaptive_avg_pool2d")
-    if not all(isinstance(n, (int, np.integer)) for n in (h, w)):
+    if not all(is_int(n) for n in (h, w)):
         raise DimensionError(f"adaptive_avg_pool2d: target ({h},{w}) must be integers")
     if not (1 <= h <= hh and 1 <= w <= ww):
         raise DimensionError(f"adaptive_avg_pool2d: target ({h},{w}) exceeds source ({hh},{ww})")

@@ -1,7 +1,8 @@
 """The op catalogue: one row per public op and variant, which the op-wide
 properties (the backward matches finite differences, float32 kept, a
-backward runs once, typed errors on operands of any rank, the batch axis,
-what a backward keeps alive) all run over.
+backward runs once, typed errors on operands of any rank, a batch equals
+its images one at a time, a map op needs the batch axis, what a backward
+keeps alive) all run over.
 
 A row is ``Op(fn, operands)``: ``operands(draw)`` returns fresh keyword
 operands for ``fn``, drawn in ``draw.dtype``. A new public op adds one row;
@@ -13,6 +14,11 @@ whose gradients the backward returns: the first, unless
 ``test_properties.py:GRADIENTS`` names them (cosine_sim, soft_aggregate,
 gated_fuse, compute_assignment, dispatch). A row whose backward returns
 more fails grad_check until it is named there.
+
+The batch-independence property runs a row once per image, slicing the
+operands whose leading axis is the first operand's (and a HardAssignment's
+cols and weights); an unbatched array, such as patch_embed's grid, must
+lead with another size.
 """
 
 from typing import Callable, NamedTuple

@@ -6,6 +6,7 @@ catalogue (ops.py), whose operands of any rank it rejects with a typed error."""
 
 import ast
 import builtins
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -219,24 +220,23 @@ def test_an_operand_of_any_rank_raises_only_typed_errors(case, rank):
         pass
 
 
-def block_forward(heads, grid_hw):
-    p = gfc.make_gfc_params(np.random.default_rng(0), 8, 8, heads, grid_hw, dtype=F64)
-    return gfc.gfc_block_forward(np.ones((1, 4, 4, 8)), p)
-
-
-NON_INTEGER_SIZES = {   # make_gfc_params takes both; the forward passes them to the pool and split_heads
-    "adaptive_avg_pool2d": lambda: T.adaptive_avg_pool2d(np.ones((1, 4, 4, 2)), 2.0, 2),
-    "init_centers": lambda: gfc.init_centers(np.ones((1, 4, 4, 2)), 2.0, 2),
-    "block grid_hw": lambda: block_forward(2, (2.0, 2.0)),
-    "split_heads": lambda: gfc.split_heads(np.ones((3, 8)), 2.0),
-    "block heads": lambda: block_forward(2.0, (2, 2)),
-    "make_grid": lambda: pfe.make_grid(2.5, 3),
+SIZED = {   # a call that passes the size n where sizes enter
+    "adaptive_avg_pool2d": lambda n: T.adaptive_avg_pool2d(np.ones((1, 4, 4, 2)), n, 2),
+    "init_centers": lambda n: gfc.init_centers(np.ones((1, 4, 4, 2)), n, 2),
+    "block grid_hw": lambda n: gfc.make_gfc_params(np.random.default_rng(0), 8, 8, 2, (n, n)),
+    "split_heads": lambda n: gfc.split_heads(np.ones((3, 8)), n),
+    "block heads": lambda n: gfc.make_gfc_params(np.random.default_rng(0), 8, 8, n, (2, 2)),
+    "make_grid": lambda n: pfe.make_grid(n, 3),
 }
+# a float, and a bool: an int to isinstance that numpy refuses as a size
+NON_INTEGER_SIZES = {case + label: partial(call, n) for label, n in (("", 2.0), (" True", True))
+                     for case, call in SIZED.items()}
 
 
 @pytest.mark.parametrize("case", NON_INTEGER_SIZES)
 def test_a_non_integer_size_raises_a_typed_error(case):
-    """Not numpy's TypeError: "'float' object cannot be interpreted as an integer"."""
+    """Not numpy's TypeError: "'float' object cannot be interpreted as an
+    integer", or for a bool "an integer is required"."""
     with pytest.raises(CluenetError, match="integer"):
         NON_INTEGER_SIZES[case]()
 

@@ -18,11 +18,20 @@ SIGMOID_1 = 0.7310585786300049  # frozen: 1/(1+exp(-1))
 def toy_block(rng, d=8, dp=8, heads=2, grid=(2, 2), flags=gfc.BlockFlags(),
               owns=True, scale=10.0, name="block"):
     """Block params in float64 with inflated weight scale so that projected
-    rows sit well above the cosine eps floor during finite differencing."""
+    rows sit well above the cosine eps floor during finite differencing.
+    Its residual branches stay zero (fc_out and ffn_w2 scale to 0), so it
+    returns y == x until ``live`` draws them."""
     p = gfc.make_gfc_params(rng, d, dp, heads, grid, flags, owns, dtype=F64, name=name)
     for q in p.params():
         if q.value.ndim >= 2:
             q.value = q.value * scale
+    return p
+
+
+def live(p, rng):
+    """Draw the zero-initialised residual projections: every parameter reaches y."""
+    for q in (p.fc_out, p.ffn_w2):
+        q.value = T.trunc_normal(rng, q.shape, 0.2, F64)
     return p
 
 
@@ -508,7 +517,7 @@ def test_block_single_vs_dual_head_duplication():
 
 def test_block_fa_off_equals_saturated_gate():
     rng = np.random.default_rng(30)
-    p_on = toy_block(rng)
+    p_on = live(toy_block(rng), rng)
     for q in p_on.agg.gate.params():
         q.value = np.zeros_like(q.value)
     p_on.agg.gate.b2.value = np.array([40.0])   # g -> 1: fused centers -> pooled centers
@@ -517,15 +526,9 @@ def test_block_fa_off_equals_saturated_gate():
     x = rng.normal(size=(1, 4, 4, 8))
     y_on, st_on, _ = gfc.gfc_block_forward(x, p_on)
     y_off, st_off, _ = gfc.gfc_block_forward(x, p_off)
+    np.testing.assert_array_equal(st_on.assignment.cols, st_off.assignment.cols)
     np.testing.assert_allclose(y_on, y_off, atol=1e-10)
     assert st_off.soft_sim is None and st_on.soft_sim is not None
-
-
-def live(p, rng):
-    """Draw the zero-initialised residual projections: every parameter reaches y."""
-    for q in (p.fc_out, p.ffn_w2):
-        q.value = T.trunc_normal(rng, q.shape, 0.2, F64)
-    return p
 
 
 @pytest.mark.parametrize("fa", [True, False])

@@ -31,10 +31,9 @@ def project(p, pooled):
     return T.mlp2(pooled, p.proj_v)[0]
 
 
-def cluster_members(assign, batch=0):
-    """Pixel index lists per cluster of image ``batch``; together they
-    partition [0, n)."""
-    owner = assign.owner[batch]
+def cluster_members(assign):
+    """Pixel index lists per cluster of image 0; together they partition [0, n)."""
+    owner = assign.owner[0]
     order = np.argsort(owner, kind="stable")
     bounds = np.searchsorted(owner[order], np.arange(assign.m + 1))
     return [order[bounds[c]:bounds[c + 1]] for c in range(assign.m)]
@@ -200,16 +199,6 @@ def test_partition_is_exhaustive():
         np.testing.assert_array_equal(np.sort(np.concatenate(members)), np.arange(24))
         for c, mem in enumerate(members):
             np.testing.assert_array_equal(assign.owner[0][mem], c)
-
-
-def test_members_batched():
-    rng = np.random.default_rng(6)
-    p = toy_params(rng)
-    x = rng.normal(size=(2, 4, 4, 4))
-    _, assign, _ = icp.icp_forward(x, p)
-    for b in range(2):
-        members = cluster_members(assign, b)
-        assert sum(len(mem) for mem in members) == 16
 
 
 def test_proj_v_maps_to_output_width():

@@ -104,17 +104,6 @@ def test_embed_output_extent():
     assert y.shape == (1, 3, 2, 2)
 
 
-def test_embed_batched_matches_per_sample():
-    rng = np.random.default_rng(4)
-    w, b = _embed_params(rng, 3)
-    grid = pfe.make_grid(8, 8, dtype=F64)
-    imgs = rng.normal(size=(2, 8, 8, 3))
-    yb, _ = pfe.patch_embed(imgs, grid, w, b)
-    for s in range(2):
-        ys, _ = pfe.patch_embed(imgs[s:s + 1], grid, w, b)
-        np.testing.assert_array_equal(yb[s], ys[0])
-
-
 def test_embed_indivisible_extent():
     rng = np.random.default_rng(5)
     w, b = _embed_params(rng, 2)

@@ -1,4 +1,5 @@
-"""Properties every differentiable path keeps: gradients that finite differences confirm, dtype, batch independence."""
+"""Properties every op of the catalogue keeps: gradients that finite differences confirm,
+dtype, and batch independence (a batch equals its images one at a time)."""
 
 import dataclasses
 
@@ -7,7 +8,7 @@ import pytest
 
 from cluenet import gfc, icp
 from fd import grad_check, wave
-from ops import F32, F64, OPS, Draw, block, build, output, params
+from ops import F32, F64, OPS, Draw, build, output, params
 
 
 # ---------------------------------------------------------------------------
@@ -83,35 +84,41 @@ def test_icp_input_gradient_keeps_x_dtype(dtype):
 
 
 # ---------------------------------------------------------------------------
-# batch independence: hard choices never leak across images
+# batch independence: an image's results, hard choices included, are its own
 # ---------------------------------------------------------------------------
 
-def test_gfc_batch_equals_single_images():
-    rng = np.random.default_rng(1)
-    owner, consumer = block(rng, F64), block(rng, F64, owns=False)
-    x = Draw(rng, F64)(3, 4, 4, 8)
-
-    def run(xb):
-        y1, state, _ = gfc.gfc_block_forward(xb, owner)
-        y2, _, _ = gfc.gfc_block_forward(y1, consumer, shared=state.assignment)
-        return y2, state
-
-    y, state = run(x)
-    singles = [run(x[i:i + 1]) for i in range(3)]
-    np.testing.assert_array_equal(
-        state.assignment.cols, np.concatenate([s.assignment.cols for _, s in singles]))
-    np.testing.assert_allclose(y, np.concatenate([ys for ys, _ in singles]), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(state.centers_v, np.concatenate([s.centers_v for _, s in singles]),
-                               rtol=0, atol=1e-12)
+def image(v, i, bsz):
+    """Operand ``v`` of image ``i`` alone: an array whose leading axis is the batch's, or
+    a HardAssignment's cols and weights. Parameters, sizes and unbatched arrays stay."""
+    if isinstance(v, gfc.HardAssignment):
+        return dataclasses.replace(v, cols=v.cols[i:i + 1], weights=v.weights[i:i + 1])
+    return v[i:i + 1] if isinstance(v, np.ndarray) and v.shape[:1] == (bsz,) else v
 
 
-def test_icp_batch_equals_single_images():
-    rng = np.random.default_rng(2)
-    p = icp.make_icp_params(rng, 4, 6, dtype=F64)
-    for w in (p.proj_f, p.proj_v.w1, p.proj_v.w2):
-        w.value = w.value * 10.0
-    x = Draw(rng, F64)(3, 4, 4, 4)
-    out, assign, _ = icp.icp_forward(x, p)
-    singles = [icp.icp_forward(x[i:i + 1], p) for i in range(3)]
-    np.testing.assert_array_equal(assign.owner, np.concatenate([a.owner for _, a, _ in singles]))
-    np.testing.assert_allclose(out, np.concatenate([o for o, _, _ in singles]), rtol=0, atol=1e-12)
+def arrays(res, name="res"):
+    """(name, array) of every ndarray in ``res``: tuple items and dataclass fields, in order."""
+    if isinstance(res, np.ndarray):
+        return [(name, res)]
+    if isinstance(res, tuple):
+        return [a for k, r in enumerate(res) for a in arrays(r, f"{name}[{k}]")]
+    if dataclasses.is_dataclass(res):
+        return [a for f in dataclasses.fields(res) for a in arrays(getattr(res, f.name), f"{name}.{f.name}")]
+    return []
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_a_batch_equals_its_images_one_at_a_time(op):
+    """The forward on a batch gives, per image, what it gives on that image alone: the
+    same hard choices (cols, owner) and floats within 1e-12. A backward that leaks
+    across images fails the finite-difference property."""
+    fn, operands = build(op, np.random.default_rng(0), F64)
+    bsz = len(next(iter(operands.values())))
+    batch = arrays(fn(**operands))
+    images = [arrays(fn(**{k: image(v, i, bsz) for k, v in operands.items()})) for i in range(bsz)]
+    assert batch, f"{op} returns no array"
+    for (name, whole), *parts in zip(batch, *images, strict=True):
+        one_at_a_time = np.concatenate([a for _, a in parts])
+        if whole.dtype.kind in "iu":
+            np.testing.assert_array_equal(whole, one_at_a_time, err_msg=name)
+        else:
+            np.testing.assert_allclose(whole, one_at_a_time, rtol=0, atol=1e-12, err_msg=name)
