@@ -15,10 +15,9 @@ whose gradients the backward returns: the first, unless
 gated_fuse, compute_assignment, dispatch). A row whose backward returns
 more fails grad_check until it is named there.
 
-The batch-independence property runs a row once per image, slicing the
-operands whose leading axis is the first operand's (and a HardAssignment's
-cols and weights); an unbatched array, such as patch_embed's grid, must
-lead with another size.
+The batch property slices the operands that lead with the first operand's
+size (and a HardAssignment's cols and weights); an unbatched array, such
+as patch_embed's grid, must lead with another size.
 """
 
 from typing import Callable, NamedTuple
